@@ -60,8 +60,6 @@ class AgentConfig:
     window_length: float = 5.0
     quiet_period: float = 30.0
     local_trigger_count: int = 5      # malicious winners in one window that arm protection locally
-    drop_packets_max: int = 3         # SYN-flood shape: tiny flows ...
-    drop_flows_min: int = 100         # ... from a source opening many of them
     block_packets_min: int = 1000     # heavy flows get their source blocked
     feature_mode: FeatureMode = FeatureMode.SOURCE_SITE
     norm_spec: NormalizationSpec = field(default_factory=NormalizationSpec)
@@ -138,7 +136,7 @@ class Agent:
                 work += 1
                 if predicted == MALICIOUS:
                     self.last_malicious_seen = now
-                    verdicts.append(self._mitigate(flow, stats, now, predicted))
+                    verdicts.append(self._mitigate(flow, now, predicted))
                 else:
                     verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN,
                                             classified=True, predicted=predicted))
@@ -161,13 +159,11 @@ class Agent:
         self.work_units += work
         return verdicts, work
 
-    def _mitigate(self, flow: FlowRecord, stats: WindowStats, now: float,
-                  predicted: str) -> Verdict:
+    def _mitigate(self, flow: FlowRecord, now: float, predicted: str) -> Verdict:
         cfg = self.config
         policy = self.active_policy if self._policy_active(now) else None
         decision, reason = DROP, R_SOM_MALICIOUS
         if policy is not None:
-            per_src = stats.flows_per_source.get(flow.src_addr, 0)
             if flow.packet_count >= cfg.block_packets_min or policy.mitigation == BLOCK:
                 decision, reason = BLOCK, R_POLICY_BLOCK
                 self.blocked_sources.add(flow.src_addr)
@@ -179,6 +175,22 @@ class Agent:
             self.flows_dropped += 1
         return Verdict(flow.flow_id, decision, now, reason,
                        classified=True, predicted=predicted)
+
+    def enforce(self, flows: list[FlowRecord], labels: list[str],
+                now: float) -> list[Verdict]:
+        """Apply the labels a remote map returned for observed flows
+        (centralized scheme): drop malicious flows, forward the rest."""
+        verdicts = []
+        for flow, label in zip(flows, labels):
+            if label == MALICIOUS:
+                verdicts.append(Verdict(flow.flow_id, DROP, now, R_SOM_MALICIOUS,
+                                        classified=True, predicted=label))
+                self.flows_dropped += 1
+            else:
+                verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN,
+                                        classified=True, predicted=label))
+                self.flows_forwarded += 1
+        return verdicts
 
     def observe(self, flows: list[FlowRecord], now: float) -> WindowStats:
         """Record a window for reporting without filtering or training

@@ -12,12 +12,11 @@ from pathlib import Path
 
 from .config import RunConfig, config_to_dict, load_config, reference_config
 from .errors import ConfigError, DataError
-from .features import MODE_DIM, FeatureMode, NormalizationSpec
+from .features import MODE_DIM
 from .harness import METRIC_COLUMNS, flows_to_samples, run_matrix
 from .som import BENIGN, MALICIOUS, SomMap, init_map
-from .traffic import (AttackProfile, BenignProfile, LABEL_MALICIOUS,
-                      default_benign_profile, gen_attack, gen_benign,
-                      load_flow_csv, write_flow_csv)
+from .traffic import (AttackProfile, default_benign_profile, gen_attack,
+                      gen_benign, load_flow_csv, write_flow_csv)
 
 
 def _fmt(value) -> str:
@@ -35,7 +34,6 @@ def _sha256(path: Path) -> str:
 def _load_or_default_config(args) -> RunConfig:
     rc = load_config(args.config) if args.config else reference_config()
     if getattr(args, "seed", None) is not None:
-        rc.seed = args.seed
         rc.scenario.seed = args.seed
     if getattr(args, "out", None):
         rc.output_dir = args.out
@@ -95,8 +93,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        base = rc.scenario_for(rc.schemes[0], rc.attack_levels[0])
-        rows, logs = run_matrix(base, rc.schemes, rc.attack_levels)
+        rows, logs = run_matrix(rc.scenario, rc.schemes, rc.attack_levels)
 
         metrics_path = out_dir / "metrics.csv"
         with open(metrics_path, "w") as f:
@@ -140,10 +137,7 @@ def cmd_eval(args) -> int:
     if m.dim not in modes:
         raise DataError(f"map dimension {m.dim} matches no feature mode "
                         f"(expected one of {sorted(modes)})")
-    rc = _load_or_default_config(args)
-    sc = rc.scenario
-    if MODE_DIM[modes[m.dim]] != m.dim:  # defensive; modes is keyed by dim
-        raise DataError(f"map dim {m.dim} vs feature dim {MODE_DIM[modes[m.dim]]}")
+    sc = _load_or_default_config(args).scenario
     flows = load_flow_csv(args.dataset)
     if not flows:
         raise DataError(f"{args.dataset}: no flows to evaluate")

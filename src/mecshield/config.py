@@ -3,7 +3,7 @@ feature-normalization and detection settings."""
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -19,19 +19,13 @@ CONFIG_VERSION = 1
 
 @dataclass
 class RunConfig:
-    seed: int
     output_dir: str
     schemes: list[str]
     attack_levels: list[float]
-    scenario: ScenarioConfig
+    scenario: ScenarioConfig        # its seed is the run seed
 
     def scenario_for(self, scheme: str, level: float, seed: int | None = None) -> ScenarioConfig:
-        import copy
-        cfg = copy.deepcopy(self.scenario)
-        cfg.scheme = scheme
-        cfg.attack_level = float(level)
-        cfg.seed = self.seed if seed is None else seed
-        return cfg
+        return self.scenario.for_cell(scheme, level, seed)
 
 
 def _build(cls, data: dict, where: str, **extra):
@@ -123,8 +117,7 @@ def parse_config(doc: dict, path: str = "<config>") -> RunConfig:
                       detection=detection, som_width=width, som_height=height,
                       seed=int(doc.get("seed", 0)))
     scenario.validate()
-    return RunConfig(seed=int(doc.get("seed", 0)),
-                     output_dir=str(doc.get("output_dir", "out")),
+    return RunConfig(output_dir=str(doc.get("output_dir", "out")),
                      schemes=list(schemes), attack_levels=levels,
                      scenario=scenario)
 
@@ -138,6 +131,12 @@ def load_config(path) -> RunConfig:
     except yaml.YAMLError as e:
         raise ConfigError(f"{path}: invalid YAML: {e}") from e
     return parse_config(doc, str(path))
+
+
+# ScenarioConfig fields that config_to_dict writes somewhere other than the
+# scalar entries of the "scenario" section
+_ECHOED_ELSEWHERE = {"agents", "attacks", "seed", "som_width", "som_height",
+                     "hyperparams", "norm_spec", "feature_mode", "detection"}
 
 
 def config_to_dict(rc: RunConfig) -> dict:
@@ -159,29 +158,16 @@ def config_to_dict(rc: RunConfig) -> dict:
                       "scale_with_level": atk.scale_with_level,
                       "src_offset": atk.src_offset})
         attacks.append(entry)
-    scenario = {
-        "agents": agents, "attacks": attacks,
-        "attack_level": sc.attack_level, "base_level": sc.base_level,
-        "level_rate_unit": sc.level_rate_unit,
-        "duration": sc.duration, "window_length": sc.window_length,
-        "link_delay": sc.link_delay, "analysis_delay": sc.analysis_delay,
-        "pretrain_samples": sc.pretrain_samples,
-        "pretrain_malicious_fraction": sc.pretrain_malicious_fraction,
-        "quiet_period": sc.quiet_period,
-        "local_trigger_count": sc.local_trigger_count,
-        "drop_packets_max": sc.drop_packets_max,
-        "drop_flows_min": sc.drop_flows_min,
-        "block_packets_min": sc.block_packets_min,
-        "policy_ttl": sc.policy_ttl,
-        "scheme": sc.scheme,
-    }
+    scenario = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)
+                if f.name not in _ECHOED_ELSEWHERE}
+    scenario.update(agents=agents, attacks=attacks)
     som = dataclasses.asdict(sc.hyperparams)
     som.update({"width": sc.som_width, "height": sc.som_height})
     features = dataclasses.asdict(sc.norm_spec)
     features["mode"] = sc.feature_mode.value
     return {
         "version": CONFIG_VERSION,
-        "seed": rc.seed,
+        "seed": sc.seed,
         "output_dir": rc.output_dir,
         "schemes": list(rc.schemes),
         "attack_levels": list(rc.attack_levels),

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agent import (Agent, AgentConfig, BLOCK, DROP, FORWARD, NORMAL,
-                    PROTECTION, R_SOM_MALICIOUS)
+from .agent import Agent, AgentConfig, BLOCK, DROP, FORWARD, PROTECTION
 from .controller import Controller, DetectionThresholds
 from .errors import ConfigError
 from .features import FeatureMode, MODE_DIM, NormalizationSpec, extract, window_stats
 from .som import BENIGN, MALICIOUS, SomHyperParams, SomMap, init_map, merge_maps
-from .traffic import (APP_LAYER, VOLUMETRIC, AttackProfile, BenignProfile,
+from .traffic import (VOLUMETRIC, AttackProfile, BenignProfile,
                       FlowRecord, LABEL_MALICIOUS, default_benign_profile,
                       gen_attack, gen_benign)
 
@@ -91,8 +90,6 @@ class ScenarioConfig:
     feature_mode: FeatureMode = FeatureMode.SOURCE_SITE
     quiet_period: float = 30.0
     local_trigger_count: int = 5
-    drop_packets_max: int = 3
-    drop_flows_min: int = 100
     block_packets_min: int = 1000
     detection: DetectionThresholds = field(default_factory=DetectionThresholds)
     policy_ttl: float = 300.0
@@ -104,6 +101,10 @@ class ScenarioConfig:
             raise ConfigError("scenario needs at least one agent")
         if self.duration <= 0 or self.window_length <= 0:
             raise ConfigError("duration and window_length must be positive")
+        windows = self.duration / self.window_length
+        if abs(windows - round(windows)) > 1e-9:
+            raise ConfigError(f"duration {self.duration} is not a whole number of "
+                              f"windows of length {self.window_length}")
         if self.link_delay < 0 or self.analysis_delay < 0:
             raise ConfigError("delays must be nonnegative")
         if not (0.0 < self.pretrain_malicious_fraction < 1.0):
@@ -128,11 +129,19 @@ class ScenarioConfig:
         return AgentConfig(
             window_length=self.window_length, quiet_period=self.quiet_period,
             local_trigger_count=self.local_trigger_count,
-            drop_packets_max=self.drop_packets_max,
-            drop_flows_min=self.drop_flows_min,
             block_packets_min=self.block_packets_min,
             feature_mode=self.feature_mode, norm_spec=self.norm_spec,
             hyperparams=self.hyperparams)
+
+    def for_cell(self, scheme: str, level: float,
+                 seed: int | None = None) -> "ScenarioConfig":
+        """Independent copy set to one (scheme, level) cell, optionally reseeded."""
+        cfg = copy.deepcopy(self)
+        cfg.scheme = scheme
+        cfg.attack_level = float(level)
+        if seed is not None:
+            cfg.seed = seed
+        return cfg
 
 
 @dataclass
@@ -185,7 +194,7 @@ def generate_traffic(cfg: ScenarioConfig) -> dict[str, list[FlowRecord]]:
     by_agent: dict[str, list[FlowRecord]] = {a.agent_id: [] for a in cfg.agents}
     for i, a in enumerate(cfg.agents):
         flows = gen_benign(a.benign_profile(), cfg.duration,
-                           seed=_crc(cfg.seed, "benign", a.agent_id),
+                           seed=derive_seed(cfg.seed, "benign", a.agent_id),
                            src_base=a.addr_lo, dst_addr=0xC0A80000 + i)
         by_agent[a.agent_id].extend(flows)
     agent_by_id = {a.agent_id: a for a in cfg.agents}
@@ -193,7 +202,7 @@ def generate_traffic(cfg: ScenarioConfig) -> dict[str, list[FlowRecord]]:
         host = agent_by_id[atk.agent_id]
         dur = cfg.duration - atk.start_time
         flows = gen_attack(atk.profile, dur,
-                           seed=_crc(cfg.seed, "attack", k, cfg.attack_level),
+                           seed=derive_seed(cfg.seed, "attack", k, cfg.attack_level),
                            src_base=host.addr_lo + atk.src_offset + k * 1000,
                            t0=atk.start_time)
         for f in flows:
@@ -206,10 +215,6 @@ def generate_traffic(cfg: ScenarioConfig) -> dict[str, list[FlowRecord]]:
     for flows in by_agent.values():
         flows.sort(key=lambda f: (f.start_time, f.flow_id))
     return by_agent
-
-
-def _crc(root, *tags) -> list[int]:
-    return derive_seed(root, *tags)
 
 
 def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
@@ -251,46 +256,46 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
     n_ben = cfg.pretrain_samples - n_mal
     profile = agent.benign_profile()
 
-    def benign_samples(n):
-        dur = n / _benign_rate(profile) * 1.3 + 60.0
+    def take(n, dur, gen, what):
+        """The first n samples of gen(dur) flows, doubling dur until enough."""
         for _ in range(6):
-            flows = gen_benign(profile, dur, seed=_crc(cfg.seed, "pretrain-b", agent.agent_id),
-                               src_base=agent.addr_lo)
-            vecs, labs = flows_to_samples(flows, cfg.feature_mode, cfg.norm_spec,
+            vecs, labs = flows_to_samples(gen(dur), cfg.feature_mode, cfg.norm_spec,
                                           cfg.window_length)
             if len(vecs) >= n:
                 return vecs[:n], labs[:n]
             dur *= 2.0
-        raise ConfigError(f"could not generate {n} benign pretraining samples "
+        raise ConfigError(f"could not generate {n} {what} pretraining samples "
                           f"for {agent.agent_id}")
-    vectors, labels = benign_samples(n_ben)
+
+    vectors, labels = take(
+        n_ben, n_ben / _benign_rate(profile) * 1.3 + 60.0,
+        lambda dur: gen_benign(profile, dur,
+                               seed=derive_seed(cfg.seed, "pretrain-b", agent.agent_id),
+                               src_base=agent.addr_lo),
+        "benign")
     attacks = _leveled_attacks(cfg)
     if attacks and n_mal:
         share = [n_mal // len(attacks)] * len(attacks)
         share[0] += n_mal - sum(share)
         for k, atk in enumerate(attacks):
-            dur = share[k] / _attack_rate(atk.profile) * 1.3 + 30.0
-            for _ in range(6):
-                flows = gen_attack(atk.profile, dur,
-                                   seed=_crc(cfg.seed, "pretrain-m", agent.agent_id, k),
-                                   src_base=agent.addr_lo + atk.src_offset + k * 1000)
-                vecs, labs = flows_to_samples(flows, cfg.feature_mode, cfg.norm_spec,
-                                              cfg.window_length)
-                if len(vecs) >= share[k]:
-                    vectors.extend(vecs[:share[k]])
-                    labels.extend(labs[:share[k]])
-                    break
-                dur *= 2.0
-            else:
-                raise ConfigError("could not generate attack pretraining samples")
-    rng = np.random.default_rng(_crc(cfg.seed, "shuffle", agent.agent_id))
+            vecs, labs = take(
+                share[k], share[k] / _attack_rate(atk.profile) * 1.3 + 30.0,
+                lambda dur: gen_attack(atk.profile, dur,
+                                       seed=derive_seed(cfg.seed, "pretrain-m", agent.agent_id, k),
+                                       src_base=agent.addr_lo + atk.src_offset + k * 1000),
+                "attack")
+            vectors.extend(vecs)
+            labels.extend(labs)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle", agent.agent_id))
     order = rng.permutation(len(vectors))
     return [vectors[i] for i in order], [labels[i] for i in order]
 
 
-def _train_map(cfg: ScenarioConfig, seed_tags, vectors, labels) -> SomMap:
+def _train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
+    # every map starts from one shared initial codebook (the controller hands
+    # out the untrained map), so per-neuron merging stays meaningful
     m = init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode],
-                 seed=_crc(cfg.seed, *seed_tags)[-1])
+                 seed=derive_seed(cfg.seed, "som")[-1])
     m.train(vectors, labels, cfg.hyperparams)
     m.label_neurons()
     return m
@@ -322,41 +327,29 @@ def run(cfg: ScenarioConfig) -> tuple[RunMetrics, list[dict]]:
             events.append({"kind": "first_malicious_arrival", "t": min(mal),
                            "agent": agent_id})
 
-    # pretraining per scheme
-    training = {a.agent_id: build_training_set(cfg, a) for a in cfg.agents}
-    agent_cfg = cfg.agent_config()
+    # the filters: mecshield and distributed train one local map per agent
+    # (distributed then merges them); centralized pools every agent's samples
+    # into one map at the controller and leaves the agents a placeholder.
+    # Only mecshield arms filters on demand; the others count as always on.
+    training = [build_training_set(cfg, a) for a in cfg.agents]
     central_map: SomMap | None = None
-    agents: dict[str, Agent] = {}
-    # all filters start from one shared initial codebook (the controller hands
-    # out the untrained map), so per-neuron merging stays meaningful
-    if cfg.scheme == SCHEME_MECSHIELD:
-        for a in cfg.agents:
-            m = _train_map(cfg, ("som",), *training[a.agent_id])
-            agents[a.agent_id] = Agent(a.agent_id, {cfg.feature_mode: m},
-                                       copy.deepcopy(agent_cfg), log=events)
-    elif cfg.scheme == SCHEME_DISTRIBUTED:
-        local = [_train_map(cfg, ("som",), *training[a.agent_id])
-                 for a in cfg.agents]
-        merged = merge_maps(local)
-        for a in cfg.agents:
-            agents[a.agent_id] = Agent(a.agent_id, {cfg.feature_mode: merged.copy()},
-                                       copy.deepcopy(agent_cfg), log=events,
-                                       filter_always_on=True)
-    else:  # centralized: one pooled map at the controller
-        rng = np.random.default_rng(_crc(cfg.seed, "pool"))
-        vecs, labs = [], []
-        for a in cfg.agents:
-            v, l = training[a.agent_id]
-            vecs.extend(v)
-            labs.extend(l)
-        order = rng.permutation(len(vecs))
-        central_map = _train_map(cfg, ("som",),
-                                 [vecs[i] for i in order], [labs[i] for i in order])
-        for a in cfg.agents:
-            agents[a.agent_id] = Agent(a.agent_id, {cfg.feature_mode:
-                                                    init_map(cfg.som_width, cfg.som_height,
-                                                             MODE_DIM[cfg.feature_mode], 0)},
-                                       copy.deepcopy(agent_cfg), log=events)
+    if cfg.scheme == SCHEME_CENTRALIZED:
+        vecs = [v for t in training for v in t[0]]
+        labs = [l for t in training for l in t[1]]
+        order = np.random.default_rng(derive_seed(cfg.seed, "pool")).permutation(len(vecs))
+        central_map = _train_map(cfg, [vecs[i] for i in order], [labs[i] for i in order])
+        maps = [init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode], 0)
+                for _ in cfg.agents]
+    else:
+        maps = [_train_map(cfg, *t) for t in training]
+        if cfg.scheme == SCHEME_DISTRIBUTED:
+            merged = merge_maps(maps)
+            maps = [merged.copy() for _ in maps]
+    agent_cfg = cfg.agent_config()
+    agents = {a.agent_id: Agent(a.agent_id, {cfg.feature_mode: m},
+                                copy.deepcopy(agent_cfg), log=events,
+                                filter_always_on=(cfg.scheme != SCHEME_MECSHIELD))
+              for a, m in zip(cfg.agents, maps)}
 
     topology = {a.agent_id: [(a.addr_lo, a.addr_hi)] for a in cfg.agents}
     controller = Controller(topology, thresholds=cfg.detection,
@@ -396,14 +389,14 @@ def run(cfg: ScenarioConfig) -> tuple[RunMetrics, list[dict]]:
     def ctrl_window(t: float) -> int:
         return min(n_windows - 1, int((t - 1e-9) // cfg.window_length))
 
-    def log_verdicts(agent_id, verdicts, flow_lookup):
-        for v in verdicts:
+    def log_verdicts(agent_id, flows, verdicts):
+        for f, v in zip(flows, verdicts):
             if v.classified or v.decision != FORWARD:
                 events.append({
                     "kind": "classify", "t": v.decided_at, "agent": agent_id,
                     "flow_id": v.flow_id, "decision": v.decision,
                     "reason": v.reason, "predicted": v.predicted,
-                    "truth": flow_lookup[v.flow_id].truth_label})
+                    "truth": f.truth_label})
 
     while heap:
         t, _prio, _seq, kind, payload = heapq.heappop(heap)
@@ -412,8 +405,7 @@ def run(cfg: ScenarioConfig) -> tuple[RunMetrics, list[dict]]:
             agent = agents[agent_id]
             agent.tick(t)
             flows = window_flows[agent_id].get(w, [])
-            lookup = {f.flow_id: f for f in flows}
-            if cfg.scheme == SCHEME_CENTRALIZED:
+            if central_map is not None:
                 stats = agent.observe(flows, t)
                 vecs = extract(flows, cfg.feature_mode, cfg.norm_spec, stats)
                 if flows:
@@ -421,17 +413,12 @@ def run(cfg: ScenarioConfig) -> tuple[RunMetrics, list[dict]]:
             else:
                 verdicts, work = agent.ingest(flows, t)
                 agent_work_by_window[w] += work
-                log_verdicts(agent_id, verdicts, lookup)
+                log_verdicts(agent_id, flows, verdicts)
             push(t + cfg.link_delay, "report", agent.make_report())
             modes = window_modes.setdefault(w, {})
             modes[agent_id] = agent.mode
             if len(modes) == len(agents):
-                if cfg.scheme == SCHEME_CENTRALIZED:
-                    active = len(agents)    # one always-on filter covers everyone
-                elif cfg.scheme == SCHEME_DISTRIBUTED:
-                    active = len(agents)
-                else:
-                    active = sum(1 for m in modes.values() if m == PROTECTION)
+                active = sum(1 for m in modes.values() if m == PROTECTION)
                 filters_by_window[w] = active
                 events.append({"kind": "filters", "t": (w + 1) * cfg.window_length,
                                "window": w, "active": active})
@@ -472,18 +459,7 @@ def run(cfg: ScenarioConfig) -> tuple[RunMetrics, list[dict]]:
                  (agent_id, flows, labels))
         elif kind == "verdicts":
             agent_id, flows, labels = payload
-            agent = agents[agent_id]
-            for f, lab in zip(flows, labels):
-                if lab == MALICIOUS:
-                    decision, reason = DROP, R_SOM_MALICIOUS
-                    agent.flows_dropped += 1
-                else:
-                    decision, reason = FORWARD, "benign"
-                    agent.flows_forwarded += 1
-                events.append({"kind": "classify", "t": t, "agent": agent_id,
-                               "flow_id": f.flow_id, "decision": decision,
-                               "reason": reason, "predicted": lab,
-                               "truth": f.truth_label})
+            log_verdicts(agent_id, flows, agents[agent_id].enforce(flows, labels, t))
 
     for agent_id in agent_order:
         a = agents[agent_id]
@@ -621,10 +597,7 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
     logs = {}
     for scheme in schemes:
         for level in attack_levels:
-            cfg = copy.deepcopy(base_cfg)
-            cfg.scheme = scheme
-            cfg.attack_level = float(level)
-            metrics, events = run(cfg)
+            metrics, events = run(base_cfg.for_cell(scheme, level))
             rows.append(metrics_row(metrics, event_log_digest(events)))
             logs[(scheme, float(level))] = events
     return rows, logs

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,14 @@ MAP_FORMAT_VERSION = 1
 
 class UnlabeledMapError(RuntimeError):
     """Raised when a classification is requested from a map with no labeled neurons."""
+
+
+def _sq_dists(vectors: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each of k vectors to each of n points,
+    shape (k, n).  Every winner search compares these (argmin-equivalent to
+    the true distances)."""
+    d = vectors[:, None, :] - points[None, :, :]
+    return np.einsum("kij,kij->ki", d, d)
 
 
 @dataclass
@@ -90,14 +98,7 @@ class SomMap:
         the lowest row-major index via argmin's first-occurrence rule.
         """
         v = self._check_vector(v)
-        d2 = np.einsum("ij,ij->i", self.weights - v, self.weights - v)
-        return int(np.argmin(d2))
-
-    def winner_distance(self, v) -> tuple[int, float]:
-        v = self._check_vector(v)
-        d2 = np.einsum("ij,ij->i", self.weights - v, self.weights - v)
-        j = int(np.argmin(d2))
-        return j, float(math.sqrt(d2[j]))
+        return int(np.argmin(_sq_dists(v[None, :], self.weights)[0]))
 
     # -- training ----------------------------------------------------------
 
@@ -151,10 +152,8 @@ class SomMap:
         dead = np.nonzero(~voted)[0]
         if dead.size:
             labeled_idx = np.nonzero(voted)[0]
-            lw = self.weights[labeled_idx]
-            for j in dead:
-                d2 = np.einsum("ij,ij->i", lw - self.weights[j], lw - self.weights[j])
-                self.labels[j] = self.labels[labeled_idx[int(np.argmin(d2))]]
+            nearest = _sq_dists(self.weights[dead], self.weights[labeled_idx]).argmin(axis=1)
+            self.labels[dead] = self.labels[labeled_idx[nearest]]
 
     @property
     def is_labeled(self) -> bool:
@@ -174,8 +173,7 @@ class SomMap:
             return []
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"batch has shape {vectors.shape}, map dimension is {self.dim}")
-        d2 = ((vectors[:, None, :] - self.weights[None, :, :]) ** 2).sum(axis=2)
-        winners = d2.argmin(axis=1)
+        winners = _sq_dists(vectors, self.weights).argmin(axis=1)
         return [str(self.labels[j]) for j in winners]
 
     # -- serialization -----------------------------------------------------

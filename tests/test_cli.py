@@ -84,6 +84,10 @@ def test_config_error_exit_code(tmp_path):
     path.write_text(yaml.safe_dump(doc))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o" / "metrics.csv").exists()
+    doc = tiny_config_doc()
+    doc["scenario"]["drop_packets_max"] = 3     # a removed field
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_gen_train_eval_loop(tmp_path):

@@ -39,6 +39,12 @@ def test_unknown_fields_rejected_with_names():
     doc["scenario"]["agents"][0]["frobnicate"] = 1
     with pytest.raises(ConfigError, match="frobnicate"):
         parse_config(doc)
+    # removed fields that no mechanism read
+    for name in ("drop_packets_max", "drop_flows_min"):
+        doc = reference_config_dict()
+        doc["scenario"][name] = 3
+        with pytest.raises(ConfigError, match=name):
+            parse_config(doc)
 
 
 def test_unknown_scheme_named_in_error():
@@ -74,7 +80,7 @@ def test_config_round_trip():
     echoed = config_to_dict(rc)
     rc2 = parse_config(echoed)
     assert config_to_dict(rc2) == echoed
-    assert rc2.seed == 11
+    assert rc2.scenario.seed == 11
     assert rc2.scenario.feature_mode == FeatureMode.SOURCE_SITE
     assert rc2.scenario.hyperparams == rc.scenario.hyperparams
 
@@ -83,7 +89,7 @@ def test_load_config_yaml(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(reference_config_dict(seed=5)))
     rc = load_config(path)
-    assert rc.seed == 5
+    assert rc.scenario.seed == 5
 
     bad = tmp_path / "broken.yaml"
     bad.write_text("{unbalanced")

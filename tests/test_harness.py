@@ -48,6 +48,10 @@ def test_scenario_validation_errors():
     bad.attacks[0].start_time = bad.duration + 1
     with pytest.raises(ConfigError, match="start_time"):
         bad.validate()
+    bad = copy.deepcopy(cfg)
+    bad.duration = 4.5 * bad.window_length      # a partial last window
+    with pytest.raises(ConfigError, match="whole number of windows"):
+        bad.validate()
 
 
 def test_traffic_is_scheme_independent():

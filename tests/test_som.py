@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mecshield.som import (BENIGN, MALICIOUS, UNLABELED, SomHyperParams,
                            SomMap, UnlabeledMapError, init_map, merge_maps)
@@ -78,14 +79,6 @@ def test_find_winner_dimension_mismatch():
     m = init_map(2, 2, 3, seed=0)
     with pytest.raises(ValueError):
         m.find_winner([0.1, 0.2])
-
-
-def test_winner_distance_is_sqrt_of_squared():
-    m = init_map(3, 3, 5, seed=5)
-    v = np.full(5, 0.5)
-    j, d = m.winner_distance(v)
-    assert j == m.find_winner(v)
-    assert d == pytest.approx(np.linalg.norm(m.weights[j] - v))
 
 
 def test_train_step_moves_winner_closer():
@@ -323,3 +316,61 @@ def test_copy_is_independent():
     c.hit_counts[0] = 7
     assert m.weights[0, 0] != 0.123
     assert m.hit_counts[0] == 0
+
+
+# Weights and inputs on a 1/16 grid keep every squared distance exact in
+# float64, so the oracle's summation order cannot matter and every tie is a
+# real tie that must resolve to the lowest index.
+_grid = st.integers(0, 16).map(lambda k: k / 16)
+
+
+@st.composite
+def voted_maps_and_inputs(draw):
+    width, height, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    n = width * height
+    weights = draw(st.lists(_grid, min_size=n * dim, max_size=n * dim))
+    dead = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assume(not all(dead))
+    benign = [0 if d else draw(st.integers(0, 3)) for d in dead]
+    # a live neuron has at least one vote
+    malicious = [0 if d else draw(st.integers(0, 3)) if b else draw(st.integers(1, 3))
+                 for d, b in zip(dead, benign)]
+    m = SomMap(width, height, dim, np.array(weights).reshape(n, dim),
+               benign_wins=benign, malicious_wins=malicious)
+    vectors = draw(st.lists(st.lists(_grid, min_size=dim, max_size=dim),
+                            min_size=1, max_size=8))
+    return m, np.array(vectors)
+
+
+def _brute_sq(a, b):
+    return sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
+
+
+def _brute_nearest(m, v, candidates):
+    best, best_d = None, None
+    for j in candidates:
+        d = _brute_sq(m.weights[j], v)
+        if best_d is None or d < best_d:
+            best, best_d = j, d
+    return best
+
+
+def _brute_labels(m):
+    def vote(j):
+        return BENIGN if m.benign_wins[j] > m.malicious_wins[j] else MALICIOUS
+    voted = [j for j in range(m.neuron_count)
+             if m.benign_wins[j] + m.malicious_wins[j] > 0]
+    return [vote(j) if j in voted else vote(_brute_nearest(m, m.weights[j], voted))
+            for j in range(m.neuron_count)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(voted_maps_and_inputs())
+def test_distance_kernel_matches_brute_force_loop(case):
+    m, vectors = case
+    expected_labels = _brute_labels(m)
+    m.label_neurons()
+    assert [str(x) for x in m.labels] == expected_labels
+    winners = [_brute_nearest(m, v, range(m.neuron_count)) for v in vectors]
+    assert [m.find_winner(v) for v in vectors] == winners
+    assert m.classify_batch(vectors) == [expected_labels[j] for j in winners]
