@@ -124,6 +124,9 @@ class Agent:
         verdicts: list[Verdict] = []
         work = 0
         malicious_in_window = 0
+        som = self.som
+        # training moves weights but never relabels, so this is fixed for the window
+        labeled = som.is_labeled
         for flow in flows:
             self.flows_processed += 1
             vec = extract_one(flow, self.feature_mode, cfg.norm_spec, stats)
@@ -131,8 +134,10 @@ class Agent:
                 verdicts.append(Verdict(flow.flow_id, BLOCK, now, R_POLICY_BLOCK))
                 self.flows_blocked += 1
                 continue
-            if self.mode == PROTECTION and self.som.is_labeled:
-                predicted = self.som.classify(vec)
+            # one winner search serves both the verdict and the training step
+            win = som.find_winner(vec)
+            if self.mode == PROTECTION and labeled:
+                predicted = str(som.labels[win])
                 work += 1
                 if predicted == MALICIOUS:
                     self.last_malicious_seen = now
@@ -147,9 +152,9 @@ class Agent:
                 predicted = None
             # continuous training in both modes, labeled by the map's own verdict
             train_label = predicted
-            if train_label is None and self.som.is_labeled:
-                train_label = str(self.som.labels[self.som.find_winner(vec)])
-            self.som.train_step(vec, cfg.hyperparams, label=train_label)
+            if train_label is None and labeled:
+                train_label = str(som.labels[win])
+            som.train_step(vec, cfg.hyperparams, label=train_label, winner=win)
             work += 1
             if self.mode == NORMAL and train_label == MALICIOUS:
                 malicious_in_window += 1

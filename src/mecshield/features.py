@@ -6,6 +6,7 @@ into [0,1].
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -74,25 +75,34 @@ def contiguity(flow: FlowRecord, window: WindowStats,
                quantum: float = 1.0) -> float:
     """Fraction of the window covered by the union of per-packet activity
     intervals, each packet active for `quantum` seconds."""
-    if not flow.packet_timestamps:
+    ts = flow.packet_timestamps
+    if not ts:
         return 0.0
     lo, hi = window.window_start, window.window_end
+    # timestamps are sorted: only packets with t + quantum > lo and t < hi
+    # can overlap the window
+    first = bisect_right(ts, lo, key=lambda t: t + quantum)
+    last = bisect_left(ts, hi, first)
     covered = 0.0
     cur_start = cur_end = None
-    for t in flow.packet_timestamps:
-        a, b = max(t, lo), min(t + quantum, hi)
+    for t in ts[first:last]:
+        e = t + quantum
+        a = lo if lo > t else t
+        b = hi if hi < e else e
         if b <= a:
             continue
         if cur_end is None:
             cur_start, cur_end = a, b
         elif a <= cur_end:
-            cur_end = max(cur_end, b)
+            if b > cur_end:
+                cur_end = b
         else:
             covered += cur_end - cur_start
             cur_start, cur_end = a, b
     if cur_end is not None:
         covered += cur_end - cur_start
-    return min(1.0, covered / window.window_length)
+    share = covered / window.window_length
+    return 1.0 if share > 1.0 else share
 
 
 def _clamp01(x: float) -> float:

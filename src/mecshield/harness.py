@@ -301,11 +301,47 @@ def _train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
     return m
 
 
+def _filters(cfg: ScenarioConfig, cache: dict | None):
+    """The cell's filters: (controller map or None, one map per agent).
+
+    mecshield and distributed train one local map per agent (distributed then
+    merges them); centralized pools every agent's samples into one map at the
+    controller and leaves the agents a placeholder.  Pretraining reads only
+    the seed and the level of what `for_cell` varies, so it is kept in
+    `cache` under that key.  Every cell gets copies, because agents and the
+    controller keep training their maps online."""
+    entry = {} if cache is None else cache.setdefault((cfg.seed, cfg.attack_level), {})
+    if "training" not in entry:
+        entry["training"] = [build_training_set(cfg, a) for a in cfg.agents]
+    training = entry["training"]
+    if cfg.scheme == SCHEME_CENTRALIZED:
+        if "central" not in entry:
+            vecs = [v for t in training for v in t[0]]
+            labs = [l for t in training for l in t[1]]
+            order = np.random.default_rng(derive_seed(cfg.seed, "pool")).permutation(len(vecs))
+            entry["central"] = _train_map(cfg, [vecs[i] for i in order],
+                                          [labs[i] for i in order])
+        maps = [init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode], 0)
+                for _ in cfg.agents]
+        return entry["central"].copy(), maps
+    if "local" not in entry:
+        entry["local"] = [_train_map(cfg, *t) for t in training]
+    if cfg.scheme == SCHEME_DISTRIBUTED:
+        merged = merge_maps(entry["local"])
+        return None, [merged.copy() for _ in entry["local"]]
+    return None, [m.copy() for m in entry["local"]]
+
+
 # -- the event loop --------------------------------------------------------
 
-def run(cfg: ScenarioConfig) -> tuple[RunMetrics, list[dict]]:
+def run(cfg: ScenarioConfig,
+        cache: dict | None = None) -> tuple[RunMetrics, list[dict]]:
     """Simulate one (scheme, level, seed) cell; returns metrics and the full
-    event log.  Identical configs produce identical logs."""
+    event log.  Identical configs produce identical logs.
+
+    `cache` keeps pretraining across cells that differ only in scheme, level
+    and seed (the copies `ScenarioConfig.for_cell` makes of one config); it
+    never changes the log."""
     cfg.validate()
     events: list[dict] = []
     flows_by_agent = generate_traffic(cfg)
@@ -327,24 +363,8 @@ def run(cfg: ScenarioConfig) -> tuple[RunMetrics, list[dict]]:
             events.append({"kind": "first_malicious_arrival", "t": min(mal),
                            "agent": agent_id})
 
-    # the filters: mecshield and distributed train one local map per agent
-    # (distributed then merges them); centralized pools every agent's samples
-    # into one map at the controller and leaves the agents a placeholder.
-    # Only mecshield arms filters on demand; the others count as always on.
-    training = [build_training_set(cfg, a) for a in cfg.agents]
-    central_map: SomMap | None = None
-    if cfg.scheme == SCHEME_CENTRALIZED:
-        vecs = [v for t in training for v in t[0]]
-        labs = [l for t in training for l in t[1]]
-        order = np.random.default_rng(derive_seed(cfg.seed, "pool")).permutation(len(vecs))
-        central_map = _train_map(cfg, [vecs[i] for i in order], [labs[i] for i in order])
-        maps = [init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode], 0)
-                for _ in cfg.agents]
-    else:
-        maps = [_train_map(cfg, *t) for t in training]
-        if cfg.scheme == SCHEME_DISTRIBUTED:
-            merged = merge_maps(maps)
-            maps = [merged.copy() for _ in maps]
+    central_map, maps = _filters(cfg, cache)
+    # only mecshield arms filters on demand; the others count as always on
     agent_cfg = cfg.agent_config()
     agents = {a.agent_id: Agent(a.agent_id, {cfg.feature_mode: m},
                                 copy.deepcopy(agent_cfg), log=events,
@@ -587,7 +607,8 @@ def metrics_row(m: RunMetrics, digest: str) -> dict:
 def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
                attack_levels: list[float]):
     """Cross product of (scheme, level) runs; traffic seeds are shared within a
-    level so every scheme faces identical flows.
+    level so every scheme faces identical flows, and pretraining is done once
+    per level.
 
     Returns (rows, per-cell event logs keyed by (scheme, level)).
     """
@@ -595,9 +616,10 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
         raise ConfigError("run_matrix needs nonempty scheme and level lists")
     rows = []
     logs = {}
+    cache: dict = {}
     for scheme in schemes:
         for level in attack_levels:
-            metrics, events = run(base_cfg.for_cell(scheme, level))
+            metrics, events = run(base_cfg.for_cell(scheme, level), cache=cache)
             rows.append(metrics_row(metrics, event_log_digest(events)))
             logs[(scheme, float(level))] = events
     return rows, logs

@@ -31,6 +31,25 @@ def _sq_dists(vectors: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kij->ki", d, d)
 
 
+_LATTICE_SQ: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _lattice_sq_dists(width: int, height: int) -> np.ndarray:
+    """Read-only table of squared lattice distances between every two neurons,
+    shape (n, n): 625 KiB for 20x20.  Built once per lattice shape and
+    shared by every map of that shape, copies included.  The distances are
+    whole numbers, so int32 holds them exactly and they convert to the same
+    float64 values in arithmetic."""
+    table = _LATTICE_SQ.get((width, height))
+    if table is None:
+        rows, cols = np.divmod(np.arange(width * height), width)
+        coords = np.stack([rows, cols], axis=1)
+        table = _sq_dists(coords, coords).astype(np.int32)
+        table.flags.writeable = False
+        _LATTICE_SQ[(width, height)] = table
+    return table
+
+
 @dataclass
 class SomHyperParams:
     initial_learning_rate: float = 0.1
@@ -76,8 +95,6 @@ class SomMap:
         self.benign_wins = np.zeros(n, dtype=np.int64) if benign_wins is None else np.asarray(benign_wins, dtype=np.int64)
         self.malicious_wins = np.zeros(n, dtype=np.int64) if malicious_wins is None else np.asarray(malicious_wins, dtype=np.int64)
         self.epoch = epoch
-        rows, cols = np.divmod(np.arange(n), width)
-        self._coords = np.stack([rows, cols], axis=1).astype(np.float64)
 
     @property
     def neuron_count(self) -> int:
@@ -102,20 +119,21 @@ class SomMap:
 
     # -- training ----------------------------------------------------------
 
-    def train_step(self, v, hp: SomHyperParams, label: str | None = None) -> int:
+    def train_step(self, v, hp: SomHyperParams, label: str | None = None,
+                   winner: int | None = None) -> int:
         """One online update: move the winner and its lattice neighborhood toward v.
 
         Neurons whose lattice distance to the winner is within the current
         radius are pulled by a Gaussian neighborhood weight.  Returns the
         winner index.  `label` (benign/malicious) feeds the winner's vote
-        tally; None updates weights and hit count only.
+        tally; None updates weights and hit count only.  `winner` is
+        `find_winner(v)` when the caller has already searched these weights.
         """
         v = self._check_vector(v)
         alpha = hp.learning_rate(self.epoch)
         sigma = hp.radius(self.epoch)
-        win = self.find_winner(v)
-        diff = self._coords - self._coords[win]
-        d2_grid = np.einsum("ij,ij->i", diff, diff)
+        win = self.find_winner(v) if winner is None else winner
+        d2_grid = _lattice_sq_dists(self.width, self.height)[win]
         mask = d2_grid <= sigma * sigma
         h = np.exp(-d2_grid[mask] / (2.0 * sigma * sigma))
         self.weights[mask] += alpha * h[:, None] * (v - self.weights[mask])
@@ -257,12 +275,17 @@ def merge_maps(maps: list[SomMap]) -> SomMap:
             raise ValueError(
                 f"map shape mismatch: {m.width}x{m.height}/{m.dim} vs "
                 f"{first.width}x{first.height}/{first.dim}")
-    w = np.stack([m.weights for m in maps])          # (M, n, dim)
-    hits = np.stack([m.hit_counts for m in maps]).astype(np.float64)  # (M, n)
-    total = hits.sum(axis=0)
-    weighted = (hits[:, :, None] * w).sum(axis=0)
-    uniform = w.mean(axis=0)
-    merged_w = np.where(total[:, None] > 0, weighted / np.maximum(total[:, None], 1.0), uniform)
+    if len(maps) == 1:
+        # the weighted mean h*w/h of one map is not always w in floating point
+        merged_w = first.weights.copy()
+    else:
+        w = np.stack([m.weights for m in maps])          # (M, n, dim)
+        hits = np.stack([m.hit_counts for m in maps]).astype(np.float64)  # (M, n)
+        total = hits.sum(axis=0)
+        weighted = (hits[:, :, None] * w).sum(axis=0)
+        uniform = w.mean(axis=0)
+        merged_w = np.where(total[:, None] > 0,
+                            weighted / np.maximum(total[:, None], 1.0), uniform)
     merged = SomMap(
         first.width, first.height, first.dim, merged_w,
         hit_counts=sum(m.hit_counts for m in maps),

@@ -3,6 +3,7 @@ plus the flow-record CSV ingestion path."""
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,9 +68,8 @@ class FlowRecord:
         if self.truth_label not in (LABEL_BENIGN, LABEL_MALICIOUS):
             raise ValueError(f"flow {self.flow_id}: bad label {self.truth_label!r}")
         ts = self.packet_timestamps
-        for a, b in zip(ts, ts[1:]):
-            if b < a:
-                raise ValueError(f"flow {self.flow_id}: timestamps not sorted")
+        if any(map(operator.lt, ts[1:], ts)):
+            raise ValueError(f"flow {self.flow_id}: timestamps not sorted")
         if ts and (ts[0] < self.start_time - 1e-9 or ts[-1] > self.end_time + 1e-9):
             raise ValueError(f"flow {self.flow_id}: timestamps outside [start,end]")
 
@@ -158,8 +158,7 @@ class AttackProfile:
 def _packet_times(rng, start: float, dur: float, count: int) -> list[float]:
     if count <= 0:
         return []
-    ts = start + np.sort(rng.uniform(0.0, dur, size=count))
-    return [float(t) for t in ts]
+    return (start + np.sort(rng.uniform(0.0, dur, size=count))).tolist()
 
 
 def gen_benign(profile: BenignProfile, duration: float, seed: int,
@@ -337,7 +336,7 @@ def load_flow_csv(path) -> list[FlowRecord]:
             try:
                 pkts = int(row[5])
                 start, end = float(row[7]), float(row[8])
-                ts = [float(t) for t in np.linspace(start, end, pkts)] if pkts else []
+                ts = np.linspace(start, end, pkts).tolist() if pkts else []
                 rec = FlowRecord(
                     flow_id=row[0], src_addr=int(row[1]), dst_addr=int(row[2]),
                     protocol=row[3].strip().upper(), dst_port=int(row[4]),

@@ -35,14 +35,15 @@ def report(num, desc, ok):
 def sweep():
     """Reference-scenario metrics for the scheme-comparison criteria:
     mecshield and centralized across all levels, distributed at level 100,
-    all over 10 paired seeds."""
+    all over 10 paired seeds.  The cells of one seed share pretraining."""
     cells = {}
-    for scheme, levels in [("mecshield", LEVELS), ("centralized", LEVELS),
-                           ("distributed", [100.0])]:
-        for level in levels:
-            for seed in SEEDS:
+    for seed in SEEDS:
+        cache = {}
+        for scheme, levels in [("mecshield", LEVELS), ("centralized", LEVELS),
+                               ("distributed", [100.0])]:
+            for level in levels:
                 cfg = reference_config().scenario_for(scheme, level, seed=seed)
-                metrics, _ = run(cfg)
+                metrics, _ = run(cfg, cache=cache)
                 cells[(scheme, level, seed)] = metrics
     base = reference_config().scenario
     meta = {"link_delay": base.link_delay,

@@ -1,6 +1,7 @@
 """Feature extraction tests: protocol encoding, normalization, contiguity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecshield.features import (FeatureMode, MODE_DIM, NormalizationSpec,
                                 WindowStats, contiguity, extract, extract_one,
@@ -98,6 +99,52 @@ def test_contiguity_oracle_interval_union():
         for t in ts:
             covered |= (grid >= t) & (grid < t + 0.5)
         assert got == pytest.approx(covered.mean(), abs=2e-3)
+
+
+def _contiguity_per_packet(ts, window, quantum):
+    """Reference: the per-packet loop that clips every packet with max/min."""
+    if not ts:
+        return 0.0
+    lo, hi = window.window_start, window.window_end
+    covered = 0.0
+    cur_start = cur_end = None
+    for t in ts:
+        a, b = max(t, lo), min(t + quantum, hi)
+        if b <= a:
+            continue
+        if cur_end is None:
+            cur_start, cur_end = a, b
+        elif a <= cur_end:
+            cur_end = max(cur_end, b)
+        else:
+            covered += cur_end - cur_start
+            cur_start, cur_end = a, b
+    if cur_end is not None:
+        covered += cur_end - cur_start
+    return min(1.0, covered / window.window_length)
+
+
+@st.composite
+def windows_and_timestamps(draw):
+    lo = draw(st.floats(-50.0, 50.0))
+    length = draw(st.floats(0.01, 10.0))
+    window = WindowStats(lo, length)
+    hi = window.window_end
+    quantum = draw(st.one_of(st.floats(1e-3, length),          # smaller than the window
+                             st.floats(length, 4.0 * length)))  # larger than the window
+    # before lo, at lo (and where t + quantum reaches lo), inside, at hi, after hi
+    t = st.one_of(st.just(lo), st.just(hi), st.just(lo - quantum),
+                  st.floats(lo - 2.0 * quantum - 1.0, hi + 1.0))
+    ts = sorted(draw(st.lists(t, max_size=40)))
+    return ts, window, quantum
+
+
+@settings(deadline=None, max_examples=300)
+@given(windows_and_timestamps())
+def test_contiguity_matches_per_packet_loop(case):
+    ts, window, quantum = case
+    f = flow(pkts=len(ts), ts=ts, start=ts[0] if ts else 0.0)
+    assert contiguity(f, window, quantum) == _contiguity_per_packet(ts, window, quantum)
 
 
 def test_extract_destination_tuple():

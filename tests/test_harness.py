@@ -1,9 +1,15 @@
 """Simulation harness tests: determinism, paired traffic, conservation,
-metrics recomputation and the run matrix."""
+metrics recomputation, the run matrix and its pretraining cache."""
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mecshield import harness
 from mecshield.config import reference_config
 from mecshield.errors import ConfigError
 from mecshield.harness import (SCHEMES, ScenarioConfig, build_training_set,
@@ -19,6 +25,14 @@ def small_cfg(scheme="mecshield", seed=3, level=100.0):
     cfg = rc.scenario_for(scheme, level, seed=seed)
     cfg.pretrain_samples = 800
     cfg.duration = 40.0
+    return cfg
+
+
+def tiny_cfg(scheme="mecshield", seed=3, level=100.0):
+    """Smaller still: a cell in about a quarter of a second."""
+    cfg = small_cfg(scheme, seed, level)
+    cfg.pretrain_samples = 300
+    cfg.duration = 30.0
     return cfg
 
 
@@ -198,3 +212,59 @@ def test_metrics_row_columns():
     assert list(row) == METRIC_COLUMNS
     assert row["scheme"] == "mecshield"
     assert len(row["event_digest"]) == 64
+
+
+@settings(deadline=None, max_examples=6)
+@given(st.sampled_from(SCHEMES), st.integers(0, 10**6),
+       st.sampled_from([50.0, 100.0, 300.0]))
+def test_run_invariants_hold(scheme, seed, level):
+    _, events = run(tiny_cfg(scheme, seed, level))
+    summaries = [e for e in events if e["kind"] == "agent_summary"]
+    assert len(summaries) == 3
+    for e in summaries:
+        assert e["processed"] == e["forwarded"] + e["dropped"] + e["blocked"]
+    m = compute_metrics(events)
+    assert m.tp + m.fp + m.tn + m.fn == sum(1 for e in events if e["kind"] == "classify")
+
+
+def test_run_matrix_pretrains_once_and_matches_separate_runs(monkeypatch):
+    cfg = tiny_cfg()
+    levels = [50.0, 100.0]
+    calls = []
+    build = harness.build_training_set
+
+    def counting(c, agent):
+        calls.append((agent.agent_id, c.attack_level))
+        return build(c, agent)
+
+    monkeypatch.setattr(harness, "build_training_set", counting)
+    rows, _ = run_matrix(cfg, list(SCHEMES), levels)
+    assert sorted(calls) == sorted((a.agent_id, lv) for a in cfg.agents for lv in levels)
+    got = {(r["scheme"], r["attack_level"]): r["event_digest"] for r in rows}
+    separate = {(s, lv): event_log_digest(run(cfg.for_cell(s, lv))[1])
+                for s in SCHEMES for lv in levels}
+    assert got == separate
+    # cells that share one cache keep getting untouched maps
+    cache = {}
+    for scheme in SCHEMES:
+        for _ in range(2):
+            _, events = run(cfg.for_cell(scheme, 100.0), cache=cache)
+            assert event_log_digest(events) == separate[(scheme, 100.0)]
+
+
+def test_digest_equal_across_interpreters():
+    code = ("from mecshield.config import reference_config; "
+            "from mecshield.harness import run, event_log_digest; "
+            "cfg = reference_config().scenario_for('mecshield', 100.0, seed=5); "
+            "cfg.pretrain_samples = 300; cfg.duration = 30.0; "
+            "print(event_log_digest(run(cfg)[1]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

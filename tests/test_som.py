@@ -374,3 +374,38 @@ def test_distance_kernel_matches_brute_force_loop(case):
     winners = [_brute_nearest(m, v, range(m.neuron_count)) for v in vectors]
     assert [m.find_winner(v) for v in vectors] == winners
     assert m.classify_batch(vectors) == [expected_labels[j] for j in winners]
+
+
+@st.composite
+def trained_maps(draw):
+    """Maps with arbitrary unit-cube weights, consistent tallies, an epoch,
+    and labels from label_neurons whenever any neuron has votes."""
+    width, height, dim = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = width * height
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n * dim, max_size=n * dim))
+    benign = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    malicious = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    unvoted = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    m = SomMap(width, height, dim, np.array(weights).reshape(n, dim),
+               hit_counts=[b + x + u for b, x, u in zip(benign, malicious, unvoted)],
+               benign_wins=benign, malicious_wins=malicious,
+               epoch=draw(st.integers(0, 10**6)))
+    if sum(benign) + sum(malicious):
+        m.label_neurons()
+    return m
+
+
+@settings(deadline=None, max_examples=100)
+@given(trained_maps())
+def test_json_round_trip_is_exact(m):
+    back = SomMap.from_dict(json.loads(json.dumps(m.to_dict(), sort_keys=True)))
+    assert back.weights.tobytes() == m.weights.tobytes()
+    assert back.to_dict() == m.to_dict()
+
+
+@settings(deadline=None, max_examples=100)
+@given(trained_maps())
+def test_merge_of_one_map_reproduces_it(m):
+    merged = merge_maps([m])
+    assert merged.weights.tobytes() == m.weights.tobytes()
+    assert merged.to_dict() == m.to_dict()
