@@ -34,12 +34,13 @@ class Verdict:
 
 @dataclass
 class DestinationStats:
+    """Traffic toward one destination: one agent's window, or the
+    controller's sum over the window's reports."""
     flows: int = 0
     bytes: float = 0.0
     packets: int = 0
     protocol_counts: dict = field(default_factory=dict)
-    port_counts: dict = field(default_factory=dict)
-    src_addrs: set = field(default_factory=set)
+    source_ranges: list = field(default_factory=list)   # (lo, hi) per reporting agent
 
 
 @dataclass
@@ -47,11 +48,6 @@ class TrafficReport:
     agent_id: str
     window_start: float
     window_length: float
-    flow_count: int
-    byte_count: float
-    protocol_counts: dict
-    port_buckets: dict                      # port // 1024 -> flow count
-    src_range: tuple | None                 # (lo, hi) of observed sources
     per_destination: dict                   # dst_addr -> DestinationStats
 
 
@@ -209,40 +205,24 @@ class Agent:
 
     # -- reporting / control -----------------------------------------------
 
-    def make_report(self, window: WindowStats | None = None) -> TrafficReport:
-        """Traffic statistics for the last ingested window."""
-        stats = window or self._window_stats
+    def make_report(self) -> TrafficReport:
+        """Per-destination statistics of the last ingested window."""
+        stats = self._window_stats
         if stats is None:
             stats = WindowStats(0.0, self.config.window_length)
-        flows = self._window_flows
-        proto: dict[str, int] = {}
-        buckets: dict[int, int] = {}
         per_dst: dict[int, DestinationStats] = {}
-        total_bytes = 0.0
-        srcs = []
-        for f in flows:
-            proto[f.protocol] = proto.get(f.protocol, 0) + 1
-            buckets[f.dst_port // 1024] = buckets.get(f.dst_port // 1024, 0) + 1
-            total_bytes += f.byte_count
-            srcs.append(f.src_addr)
+        srcs: dict[int, list[int]] = {}
+        for f in self._window_flows:
             d = per_dst.setdefault(f.dst_addr, DestinationStats())
             d.flows += 1
             d.bytes += f.byte_count
             d.packets += f.packet_count
             d.protocol_counts[f.protocol] = d.protocol_counts.get(f.protocol, 0) + 1
-            d.port_counts[f.dst_port] = d.port_counts.get(f.dst_port, 0) + 1
-            d.src_addrs.add(f.src_addr)
-        return TrafficReport(
-            agent_id=self.agent_id,
-            window_start=stats.window_start,
-            window_length=stats.window_length,
-            flow_count=len(flows),
-            byte_count=total_bytes,
-            protocol_counts=proto,
-            port_buckets=buckets,
-            src_range=(min(srcs), max(srcs)) if srcs else None,
-            per_destination=per_dst,
-        )
+            srcs.setdefault(f.dst_addr, []).append(f.src_addr)
+        for dst, d in per_dst.items():
+            d.source_ranges.append((min(srcs[dst]), max(srcs[dst])))
+        return TrafficReport(agent_id=self.agent_id, window_start=stats.window_start,
+                             window_length=stats.window_length, per_destination=per_dst)
 
     def apply_policy(self, policy, now: float) -> None:
         """Install a controller directive: switch the feature tuple, arm the

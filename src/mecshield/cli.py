@@ -132,11 +132,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    m = SomMap.load(args.map)
+    try:
+        m = SomMap.load(args.map)
+    except (OSError, ValueError) as e:
+        raise DataError(f"{args.map}: cannot load map: {e}") from e
     modes = {dim: mode for mode, dim in MODE_DIM.items()}
     if m.dim not in modes:
-        raise DataError(f"map dimension {m.dim} matches no feature mode "
+        raise DataError(f"{args.map}: map dimension {m.dim} matches no feature mode "
                         f"(expected one of {sorted(modes)})")
+    if not m.is_labeled:
+        raise DataError(f"{args.map}: map has no labeled neurons")
     sc = _load_or_default_config(args).scenario
     flows = load_flow_csv(args.dataset)
     if not flows:

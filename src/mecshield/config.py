@@ -56,7 +56,12 @@ def parse_config(doc: dict, path: str = "<config>") -> RunConfig:
         if s not in SCHEMES:
             raise ConfigError(f"{path}: field 'schemes' has unknown scheme {s!r}; "
                               f"expected one of {SCHEMES}")
-    levels = [float(x) for x in doc.get("attack_levels", [50, 100, 200, 300])]
+    try:
+        levels = [float(x) for x in doc.get("attack_levels", [50, 100, 200, 300])]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: field 'attack_levels' must list numbers: {e}") from e
+    if not all(x > 0 for x in levels):
+        raise ConfigError(f"{path}: field 'attack_levels' must be positive, got {levels}")
 
     som = dict(doc.get("som", {}))
     width = som.pop("width", 20)

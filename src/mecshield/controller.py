@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .features import FeatureMode
-from .agent import TrafficReport
+from .agent import DestinationStats, TrafficReport
 
 METHOD_SMURF_FRAGGLE = "smurf_fraggle"
 METHOD_SYN_FLOOD = "syn_flood"
@@ -18,7 +18,6 @@ ROLE_DESTINATION = "destination"
 
 MITIGATE_DROP = "drop"
 MITIGATE_BLOCK = "block"
-MITIGATE_MONITOR = "monitor"
 
 _METHOD_MITIGATION = {
     METHOD_SYN_FLOOD: MITIGATE_DROP,
@@ -60,21 +59,10 @@ class AttackAssessment:
 
 
 @dataclass
-class DestinationView:
-    flows: int = 0
-    bytes: float = 0.0
-    packets: int = 0
-    protocol_counts: dict = field(default_factory=dict)
-    port_counts: dict = field(default_factory=dict)
-    source_ranges: list = field(default_factory=list)
-    reporters: list = field(default_factory=list)
-
-
-@dataclass
 class AggregateView:
     window_length: float
     window_start: float
-    per_destination: dict = field(default_factory=dict)   # dst_addr -> DestinationView
+    per_destination: dict = field(default_factory=dict)   # dst_addr -> DestinationStats
 
 
 @dataclass
@@ -128,17 +116,13 @@ class Controller:
         view = AggregateView(window_length=win_len, window_start=win_start)
         for r in fresh:
             for dst, d in sorted(r.per_destination.items()):
-                v = view.per_destination.setdefault(dst, DestinationView())
+                v = view.per_destination.setdefault(dst, DestinationStats())
                 v.flows += d.flows
                 v.bytes += d.bytes
                 v.packets += d.packets
                 for proto, n in d.protocol_counts.items():
                     v.protocol_counts[proto] = v.protocol_counts.get(proto, 0) + n
-                for port, n in d.port_counts.items():
-                    v.port_counts[port] = v.port_counts.get(port, 0) + n
-                if d.src_addrs:
-                    v.source_ranges.append((min(d.src_addrs), max(d.src_addrs)))
-                v.reporters.append(r.agent_id)
+                v.source_ranges.extend(d.source_ranges)
         return view
 
     # -- attack analysis ---------------------------------------------------

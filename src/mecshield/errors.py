@@ -3,4 +3,4 @@ class ConfigError(Exception):
 
 
 class DataError(Exception):
-    """Malformed external data (flow CSV schema or row problems)."""
+    """Malformed or unreadable external data (flow CSVs, map files)."""

@@ -35,8 +35,7 @@ SCHEMES = (SCHEME_MECSHIELD, SCHEME_DISTRIBUTED, SCHEME_CENTRALIZED)
 
 # event ordering at equal timestamps: deliveries before the window that
 # might consume their effects
-_PRIO = {"policy": 0, "verdicts": 1, "report": 2, "analyze": 3, "batch": 4,
-         "window": 5}
+_PRIO = {"policy": 0, "verdicts": 1, "analyze": 2, "batch": 3, "window": 4}
 
 
 def derive_seed(root: int, *tags) -> list[int]:
@@ -107,6 +106,12 @@ class ScenarioConfig:
                               f"windows of length {self.window_length}")
         if self.link_delay < 0 or self.analysis_delay < 0:
             raise ConfigError("delays must be nonnegative")
+        for name in ("policy_ttl", "base_level", "attack_level"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("pretrain_samples", "som_width", "som_height"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if not (0.0 < self.pretrain_malicious_fraction < 1.0):
             raise ConfigError("pretrain_malicious_fraction must be in (0,1)")
         ids = [a.agent_id for a in self.agents]
@@ -395,16 +400,10 @@ def run(cfg: ScenarioConfig,
 
     agent_order = sorted(agents)
     for w in range(n_windows):
-        t_close = (w + 1) * cfg.window_length
-        for agent_id in agent_order:
-            push(t_close, "window", (agent_id, w))
+        push((w + 1) * cfg.window_length, "window", w)
 
     ctrl_work_by_window: dict[int, int] = {w: 0 for w in range(n_windows)}
     agent_work_by_window: dict[int, int] = {w: 0 for w in range(n_windows)}
-    filters_by_window: dict[int, int] = {}
-    report_buffer: dict[float, list] = {}
-    analyze_scheduled: set[float] = set()
-    window_modes: dict[int, dict[str, str]] = {}
 
     def ctrl_window(t: float) -> int:
         return min(n_windows - 1, int((t - 1e-9) // cfg.window_length))
@@ -421,36 +420,30 @@ def run(cfg: ScenarioConfig,
     while heap:
         t, _prio, _seq, kind, payload = heapq.heappop(heap)
         if kind == "window":
-            agent_id, w = payload
-            agent = agents[agent_id]
-            agent.tick(t)
-            flows = window_flows[agent_id].get(w, [])
-            if central_map is not None:
-                stats = agent.observe(flows, t)
-                vecs = extract(flows, cfg.feature_mode, cfg.norm_spec, stats)
-                if flows:
-                    push(t + cfg.link_delay, "batch", (agent_id, flows, vecs))
-            else:
-                verdicts, work = agent.ingest(flows, t)
-                agent_work_by_window[w] += work
-                log_verdicts(agent_id, flows, verdicts)
-            push(t + cfg.link_delay, "report", agent.make_report())
-            modes = window_modes.setdefault(w, {})
-            modes[agent_id] = agent.mode
-            if len(modes) == len(agents):
-                active = sum(1 for m in modes.values() if m == PROTECTION)
-                filters_by_window[w] = active
-                events.append({"kind": "filters", "t": (w + 1) * cfg.window_length,
-                               "window": w, "active": active})
-        elif kind == "report":
-            report = payload
-            report_buffer.setdefault(report.window_start, []).append(report)
-            if report.window_start not in analyze_scheduled:
-                analyze_scheduled.add(report.window_start)
-                push(t + cfg.analysis_delay, "analyze", report.window_start)
+            # every agent closes window w; the controller analyzes their reports together
+            w = payload
+            reports = []
+            for agent_id in agent_order:
+                agent = agents[agent_id]
+                agent.tick(t)
+                flows = window_flows[agent_id].get(w, [])
+                if central_map is not None:
+                    stats = agent.observe(flows, t)
+                    vecs = extract(flows, cfg.feature_mode, cfg.norm_spec, stats)
+                    if flows:
+                        push(t + cfg.link_delay, "batch", (agent_id, flows, vecs))
+                else:
+                    verdicts, work = agent.ingest(flows, t)
+                    agent_work_by_window[w] += work
+                    log_verdicts(agent_id, flows, verdicts)
+                reports.append(agent.make_report())
+            events.append({"kind": "filters", "t": (w + 1) * cfg.window_length,
+                           "window": w,
+                           "active": sum(1 for a in agents.values() if a.mode == PROTECTION)})
+            # the reports arrive at a rounded event time, like every message
+            push(round(t + cfg.link_delay, 9) + cfg.analysis_delay, "analyze", reports)
         elif kind == "analyze":
-            window_start = payload
-            reports = report_buffer.pop(window_start, [])
+            reports = payload
             before = controller.work_units
             view = controller.collect(reports)
             assessment = controller.analyze(view)
@@ -469,12 +462,11 @@ def run(cfg: ScenarioConfig,
         elif kind == "batch":
             agent_id, flows, vecs = payload
             labels = central_map.classify_batch(vecs)
-            controller.work_units += len(flows)
-            ctrl_work_by_window[ctrl_window(t)] += len(flows)
             for v, lab in zip(vecs, labels):
                 central_map.train_step(v, cfg.hyperparams, label=lab)
-            controller.work_units += len(flows)
-            ctrl_work_by_window[ctrl_window(t)] += len(flows)
+            # one unit per flow classified, one per flow trained
+            controller.work_units += 2 * len(flows)
+            ctrl_work_by_window[ctrl_window(t)] += 2 * len(flows)
             push(t + cfg.analysis_delay + cfg.link_delay, "verdicts",
                  (agent_id, flows, labels))
         elif kind == "verdicts":

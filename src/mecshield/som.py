@@ -1,7 +1,8 @@
 """Self-organizing map with online training, neuron labeling and map merging.
 
 Neurons live on a 2-D lattice stored row-major; weight vectors stay inside
-[0,1]^dim because every update is a convex move toward a normalized sample.
+[0,1]^dim: `init_map` draws them there, `from_dict` checks it, merging takes
+convex means, and every update is a convex move toward a normalized sample.
 """
 from __future__ import annotations
 
@@ -136,9 +137,12 @@ class SomMap:
         d2_grid = _lattice_sq_dists(self.width, self.height)[win]
         mask = d2_grid <= sigma * sigma
         h = np.exp(-d2_grid[mask] / (2.0 * sigma * sigma))
-        self.weights[mask] += alpha * h[:, None] * (v - self.weights[mask])
-        # convex move; clip only guards against ulp-level overshoot at 0/1
-        np.clip(self.weights, 0.0, 1.0, out=self.weights)
+        moved = self.weights[mask]
+        moved += alpha * h[:, None] * (v - moved)
+        # convex move; the clip only guards against ulp-level overshoot at
+        # 0/1, and the rows that did not move already lie in [0,1]
+        np.clip(moved, 0.0, 1.0, out=moved)
+        self.weights[mask] = moved
         self.hit_counts[win] += 1
         if label == BENIGN:
             self.benign_wins[win] += 1
@@ -218,20 +222,35 @@ class SomMap:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SomMap":
-        if doc.get("format") != MAP_FORMAT:
-            raise ValueError(f"not a SOM map document (format={doc.get('format')!r})")
+        """The map a `to_dict` document describes; ValueError if the document
+        is malformed or its values are out of range."""
+        if not isinstance(doc, dict) or doc.get("format") != MAP_FORMAT:
+            raise ValueError("not a SOM map document")
         if doc.get("version") != MAP_FORMAT_VERSION:
             raise ValueError(f"unsupported map version {doc.get('version')!r}")
-        neurons = doc["neurons"]
-        return cls(
-            doc["width"], doc["height"], doc["dim"],
-            weights=np.array([n["weights"] for n in neurons], dtype=np.float64),
-            labels=np.array([n["label"] for n in neurons], dtype="<U9"),
-            hit_counts=np.array([n["hit_count"] for n in neurons], dtype=np.int64),
-            benign_wins=np.array([n["benign_wins"] for n in neurons], dtype=np.int64),
-            malicious_wins=np.array([n["malicious_wins"] for n in neurons], dtype=np.int64),
-            epoch=doc["epoch"],
-        )
+        try:
+            width, height, dim = int(doc["width"]), int(doc["height"]), int(doc["dim"])
+            neurons = doc["neurons"]
+            weights = np.array([n["weights"] for n in neurons], dtype=np.float64)
+            labels = [n["label"] for n in neurons]
+            counts = {k: np.array([n[k] for n in neurons], dtype=np.int64)
+                      for k in ("hit_count", "benign_wins", "malicious_wins")}
+            epoch = int(doc["epoch"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"malformed map document: {e!r}") from e
+        if min(width, height, dim) < 1 or len(neurons) != width * height:
+            raise ValueError(f"{len(neurons)} neurons for a {width} x {height} map: map "
+                             f"dimensions must be >= 1 and the neurons width x height")
+        if weights.shape != (width * height, dim):
+            raise ValueError(f"weights have shape {weights.shape}, expected ({width * height}, {dim})")
+        if not ((weights >= 0.0) & (weights <= 1.0)).all():     # NaN fails both
+            raise ValueError("weights must be finite and lie in [0,1]")
+        unknown = [x for x in labels if x not in (BENIGN, MALICIOUS, UNLABELED)]
+        if unknown:
+            raise ValueError(f"unknown neuron label {unknown[0]!r}")
+        return cls(width, height, dim, weights, labels=labels,
+                   hit_counts=counts["hit_count"], benign_wins=counts["benign_wins"],
+                   malicious_wins=counts["malicious_wins"], epoch=epoch)
 
     def save(self, path) -> None:
         with open(path, "w") as f:

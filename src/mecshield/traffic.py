@@ -316,37 +316,39 @@ def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
 def load_flow_csv(path) -> list[FlowRecord]:
     """Parse the documented flow-record schema; packet timestamps are
     synthesized uniformly over [start_time, end_time]."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: cannot read flow CSV: {e}") from e
+    if not rows:
+        raise DataError(f"{path}: empty file, expected header {','.join(CSV_HEADER)}")
+    header = rows[0]
+    if [h.strip() for h in header] != CSV_HEADER:
+        missing = set(CSV_HEADER) - {h.strip() for h in header}
+        if missing:
+            raise DataError(f"{path}: missing column(s) {sorted(missing)}")
+        raise DataError(f"{path}: header {header} does not match schema {CSV_HEADER}")
+    flows = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected header {','.join(CSV_HEADER)}")
-        if [h.strip() for h in header] != CSV_HEADER:
-            missing = set(CSV_HEADER) - {h.strip() for h in header}
-            if missing:
-                raise DataError(f"{path}: missing column(s) {sorted(missing)}")
-            raise DataError(f"{path}: header {header} does not match schema {CSV_HEADER}")
-        flows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-            try:
-                pkts = int(row[5])
-                start, end = float(row[7]), float(row[8])
-                ts = np.linspace(start, end, pkts).tolist() if pkts else []
-                rec = FlowRecord(
-                    flow_id=row[0], src_addr=int(row[1]), dst_addr=int(row[2]),
-                    protocol=row[3].strip().upper(), dst_port=int(row[4]),
-                    packet_count=pkts, byte_count=float(row[6]),
-                    start_time=start, end_time=end, packet_timestamps=ts,
-                    truth_label=row[9].strip().lower())
-                rec.validate()
-            except (ValueError, OverflowError) as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
-            flows.append(rec)
+            pkts = int(row[5])
+            start, end = float(row[7]), float(row[8])
+            ts = np.linspace(start, end, pkts).tolist() if pkts else []
+            rec = FlowRecord(
+                flow_id=row[0], src_addr=int(row[1]), dst_addr=int(row[2]),
+                protocol=row[3].strip().upper(), dst_port=int(row[4]),
+                packet_count=pkts, byte_count=float(row[6]),
+                start_time=start, end_time=end, packet_timestamps=ts,
+                truth_label=row[9].strip().lower())
+            rec.validate()
+        except (ValueError, OverflowError) as e:
+            raise DataError(f"{path}:{lineno}: {e}") from e
+        flows.append(rec)
     return flows
 
 

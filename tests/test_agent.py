@@ -25,14 +25,14 @@ def labeled_map(dim=5):
     return m
 
 
-def benign_flow(i, t, src=100):
-    return FlowRecord(f"b{i}", src, 2, "TCP", 80, 1, 60.0, t, t,
+def benign_flow(i, t, src=100, dst=2):
+    return FlowRecord(f"b{i}", src, dst, "TCP", 80, 1, 60.0, t, t,
                       packet_timestamps=[t])
 
 
-def malicious_flow(i, t, src=200, pkts=5):
+def malicious_flow(i, t, src=200, pkts=5, dst=2):
     ts = [t + 0.01 * k for k in range(pkts)]
-    return FlowRecord(f"m{i}", src, 2, "ICMP", 65000, pkts, 6000.0, t, ts[-1],
+    return FlowRecord(f"m{i}", src, dst, "ICMP", 65000, pkts, 6000.0, t, ts[-1],
                       packet_timestamps=ts, truth_label="malicious")
 
 
@@ -160,24 +160,26 @@ def test_filter_always_on_never_deactivates():
 
 def test_report_conservation():
     a = fresh_agent()
-    flows = [benign_flow(i, 1.0, src=100 + i % 3) for i in range(7)]
-    flows += [malicious_flow(i, 2.0) for i in range(3)]
+    flows = [benign_flow(i, 1.0, src=100 + i % 3, dst=2 + i % 2) for i in range(7)]
+    flows += [malicious_flow(i, 2.0, src=200 + i) for i in range(3)]
     a.ingest(flows, 5.0)
     rep = a.make_report()
-    assert rep.flow_count == 10
-    assert sum(rep.protocol_counts.values()) == 10
-    assert sum(rep.port_buckets.values()) == 10
-    assert rep.byte_count == pytest.approx(sum(f.byte_count for f in flows))
-    assert rep.src_range == (100, 200)
-    assert sum(d.flows for d in rep.per_destination.values()) == 10
+    assert (rep.window_start, rep.window_length) == (0.0, 5.0)
+    dests = rep.per_destination.values()
+    assert sum(d.flows for d in dests) == 10
+    assert sum(d.packets for d in dests) == sum(f.packet_count for f in flows)
+    assert sum(d.bytes for d in dests) == pytest.approx(sum(f.byte_count for f in flows))
+    assert sum(sum(d.protocol_counts.values()) for d in dests) == 10
+    assert {dst: d.source_ranges for dst, d in rep.per_destination.items()} == {
+        2: [(100, 202)], 3: [(100, 102)]}
 
 
 def test_empty_window_report():
     a = fresh_agent()
     a.ingest([], 5.0)
     rep = a.make_report()
-    assert rep.flow_count == 0
-    assert rep.src_range is None
+    assert rep.per_destination == {}
+    assert (rep.window_start, rep.window_length) == (0.0, 5.0)
 
 
 def test_observe_records_without_filtering():
@@ -187,7 +189,7 @@ def test_observe_records_without_filtering():
     assert a.som.epoch == epoch            # no training
     assert a.flows_processed == 2
     assert a.flows_forwarded == 0
-    assert a.make_report().flow_count == 2
+    assert sum(d.flows for d in a.make_report().per_destination.values()) == 2
 
 
 def agent_invariant_holds(a, now):

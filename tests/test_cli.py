@@ -8,7 +8,7 @@ import yaml
 from mecshield.cli import main
 from mecshield.config import parse_config, reference_config_dict
 from mecshield.harness import METRIC_COLUMNS
-from mecshield.som import SomMap
+from mecshield.som import BENIGN, MALICIOUS, SomHyperParams, SomMap, init_map
 
 
 def tiny_config_doc(seed=3):
@@ -77,17 +77,28 @@ def test_scheme_filter_must_be_configured(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     doc = tiny_config_doc()
     doc["schemes"] = ["napoleonic"]
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(doc))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o" / "metrics.csv").exists()
-    doc = tiny_config_doc()
-    doc["scenario"]["drop_packets_max"] = 3     # a removed field
-    path.write_text(yaml.safe_dump(doc))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    # a removed field, then values out of range
+    for section, name, value in [("scenario", "drop_packets_max", 3),
+                                 ("scenario", "policy_ttl", 0.0),
+                                 ("scenario", "base_level", 0.0),
+                                 ("scenario", "attack_level", -1.0),
+                                 ("scenario", "pretrain_samples", 0),
+                                 ("som", "width", 0), ("som", "height", 0),
+                                 (None, "attack_levels", [100, 0]),
+                                 (None, "attack_levels", [-300])]:
+        doc = tiny_config_doc()
+        (doc if section is None else doc[section])[name] = value
+        path.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert name in capsys.readouterr().err
 
 
 def test_gen_train_eval_loop(tmp_path):
@@ -155,3 +166,67 @@ def test_eval_dimension_mismatch(tmp_path):
     assert main(["gen", "benign", str(data), "--category", "sensor",
                  "--duration", "60"]) == 0
     assert main(["eval", str(weird), str(data)]) == 2
+
+
+def _labeled_map_doc():
+    m = init_map(2, 2, 5, seed=0)
+    hp = SomHyperParams()
+    for k in range(20):
+        m.train_step([k % 2] * 5, hp, label=MALICIOUS if k % 2 else BENIGN)
+    m.label_neurons()
+    return m.to_dict()
+
+
+def _bad_map(doc):
+    doc["neurons"][0]["weights"][0] = 1.5
+    return doc
+
+
+def _missing_neurons(doc):
+    del doc["neurons"]
+    return doc
+
+
+@pytest.mark.parametrize("command, broken, content", [
+    pytest.param("eval", "map", None, id="eval-map-missing"),
+    pytest.param("eval", "map", "not json at all", id="eval-map-not-json"),
+    pytest.param("eval", "map", _missing_neurons, id="eval-map-no-neurons"),
+    pytest.param("eval", "map", _bad_map, id="eval-map-weight-out-of-range"),
+    pytest.param("eval", "map", lambda doc: {**doc, "neurons": doc["neurons"][:3]},
+                 id="eval-map-neuron-count"),
+    pytest.param("eval", "csv", None, id="eval-csv-missing"),
+    pytest.param("eval", "csv", b"\xff\xfe\x00garbage", id="eval-csv-undecodable"),
+    pytest.param("train", "csv", None, id="train-csv-missing"),
+    pytest.param("train", "csv", b"\xff\xfe\x00garbage", id="train-csv-undecodable"),
+])
+def test_bad_map_or_flow_file_is_data_error(tmp_path, capsys, command, broken, content):
+    map_path = tmp_path / "map.json"
+    csv_path = tmp_path / "flows.csv"
+    doc = _labeled_map_doc()
+    map_path.write_text(json.dumps(doc))
+    assert main(["gen", "benign", str(csv_path), "--duration", "30"]) == 0
+    target = map_path if broken == "map" else csv_path
+    if content is None:
+        target.unlink()
+    elif isinstance(content, bytes):
+        target.write_bytes(content)
+    elif isinstance(content, str):
+        target.write_text(content)
+    else:
+        target.write_text(json.dumps(content(doc)))
+    capsys.readouterr()
+    if command == "eval":
+        argv = ["eval", str(map_path), str(csv_path)]
+    else:
+        argv = ["train", "--config", str(write_tiny_config(tmp_path)),
+                "--out", str(tmp_path / "o"), str(csv_path)]
+    assert main(argv) == 2
+    assert str(target) in capsys.readouterr().err
+
+
+def test_eval_unlabeled_map_is_data_error(tmp_path):
+    blank = tmp_path / "blank.json"
+    init_map(2, 2, 5, seed=0).save(blank)
+    data = tmp_path / "d.csv"
+    assert main(["gen", "benign", str(data), "--duration", "30"]) == 0
+    assert main(["eval", str(blank), str(data)]) == 2

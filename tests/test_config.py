@@ -1,4 +1,6 @@
 """Config parsing tests: YAML schema, validation errors, round-trip."""
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -97,6 +99,11 @@ def test_load_config_yaml(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.yaml")
+
+
+def test_reference_yaml_matches_builtin_reference():
+    path = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
+    assert config_to_dict(load_config(path)) == config_to_dict(reference_config())
 
 
 def test_scenario_for_is_isolated():

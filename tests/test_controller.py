@@ -21,22 +21,11 @@ VICTIM = 0x0A020042
 
 
 def report(agent="a", start=0.0, dests=None, win=5.0):
-    dests = dests or {}
-    per_dst = {}
-    flow_count = 0
-    byte_count = 0.0
-    for dst, (flows, bytes_, packets, proto) in dests.items():
-        d = DestinationStats(flows=flows, bytes=bytes_, packets=packets,
-                             protocol_counts={proto: flows},
-                             port_counts={80: flows},
-                             src_addrs={0x0A000001, 0x0A000005})
-        per_dst[dst] = d
-        flow_count += flows
-        byte_count += bytes_
+    per_dst = {dst: DestinationStats(flows=flows, bytes=bytes_, packets=packets,
+                                     protocol_counts={proto: flows},
+                                     source_ranges=[(0x0A000001, 0x0A000005)])
+               for dst, (flows, bytes_, packets, proto) in (dests or {}).items()}
     return TrafficReport(agent_id=agent, window_start=start, window_length=win,
-                         flow_count=flow_count, byte_count=byte_count,
-                         protocol_counts={}, port_buckets={},
-                         src_range=(0x0A000001, 0x0A000005),
                          per_destination=per_dst)
 
 
@@ -50,7 +39,7 @@ def test_collect_sums_across_agents():
     assert v.bytes == 1500.0
     assert v.packets == 45
     assert v.protocol_counts == {"TCP": 15}
-    assert sorted(v.reporters) == ["a", "b"]
+    assert v.source_ranges == [(0x0A000001, 0x0A000005)] * 2
     assert c.work_units == 2
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mecshield import harness
 from mecshield.config import reference_config
+from mecshield.controller import Controller
 from mecshield.errors import ConfigError
 from mecshield.harness import (SCHEMES, ScenarioConfig, build_training_set,
                                compute_metrics, derive_seed, event_log_digest,
@@ -66,6 +67,14 @@ def test_scenario_validation_errors():
     bad.duration = 4.5 * bad.window_length      # a partial last window
     with pytest.raises(ConfigError, match="whole number of windows"):
         bad.validate()
+    for name, value in [("policy_ttl", 0.0), ("base_level", 0.0),
+                        ("attack_level", 0.0), ("attack_level", -50.0),
+                        ("pretrain_samples", 0), ("som_width", 0),
+                        ("som_height", 0)]:
+        bad = copy.deepcopy(cfg)
+        setattr(bad, name, value)
+        with pytest.raises(ConfigError, match=name):
+            bad.validate()
 
 
 def test_traffic_is_scheme_independent():
@@ -156,6 +165,24 @@ def test_confusion_matrix_oracle():
     if tp + fn:
         assert m.detection_rate == pytest.approx(tp / (tp + fn))
     assert m.accuracy == pytest.approx((tp + tn) / (tp + fp + tn + fn))
+
+
+@pytest.mark.parametrize("link_delay, analysis_delay",
+                         [(0.0, 0.0), (0.0, 0.05), (0.01, 0.0)])
+def test_every_analysis_sees_every_report(monkeypatch, link_delay, analysis_delay):
+    cfg = tiny_cfg(level=300.0)
+    cfg.link_delay, cfg.analysis_delay = link_delay, analysis_delay
+    reporters = []
+    collect = Controller.collect
+
+    def recording(self, reports):
+        reporters.append([r.agent_id for r in reports])
+        return collect(self, reports)
+
+    monkeypatch.setattr(Controller, "collect", recording)
+    run(cfg)
+    n_windows = round(cfg.duration / cfg.window_length)
+    assert reporters == [sorted(a.agent_id for a in cfg.agents)] * n_windows
 
 
 def test_centralized_roundtrip_delay():

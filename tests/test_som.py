@@ -265,10 +265,13 @@ def test_merge_convex_bounds():
             m.hit_counts[:] = rng.integers(0, 10, size=6)
             m.benign_wins[:] = m.hit_counts
             maps.append(m)
+        for m in maps:
+            m.weights[rng.random(m.weights.shape) < 0.3] = 1.0
         merged = merge_maps(maps)
         stack = np.stack([m.weights for m in maps])
         assert (merged.weights >= stack.min(axis=0) - 1e-12).all()
         assert (merged.weights <= stack.max(axis=0) + 1e-12).all()
+        assert ((merged.weights >= 0.0) & (merged.weights <= 1.0)).all()
 
 
 def test_merge_shape_mismatch():
@@ -306,6 +309,29 @@ def test_from_dict_rejects_foreign_documents():
     doc = m.to_dict()
     doc["version"] = 99
     with pytest.raises(ValueError):
+        SomMap.from_dict(doc)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["neurons"].pop(), "neurons"),
+    (lambda d: d.update(width=3), "neurons"),
+    (lambda d: d.update(width=0, height=0, neurons=[]), "dimensions"),
+    (lambda d: d["neurons"][1].update(weights=[0.5]), "shape"),
+    (lambda d: d["neurons"][0]["weights"].__setitem__(0, float("nan")), "finite"),
+    (lambda d: d["neurons"][0]["weights"].__setitem__(1, float("inf")), "finite"),
+    (lambda d: d["neurons"][2]["weights"].__setitem__(0, -0.25), r"\[0,1\]"),
+    (lambda d: d["neurons"][3]["weights"].__setitem__(2, 1.5), r"\[0,1\]"),
+    (lambda d: d["neurons"][0].update(label="suspicious"), "label"),
+    (lambda d: d["neurons"][0].update(label="maliciousness"), "label"),
+    (lambda d: d.pop("neurons"), "malformed"),
+    (lambda d: d["neurons"][0].pop("hit_count"), "malformed"),
+    (lambda d: d.update(epoch="later"), "malformed"),
+])
+def test_from_dict_rejects_bad_maps(edit, match):
+    doc = json.loads(json.dumps(init_map(2, 2, 3, seed=4).to_dict()))
+    SomMap.from_dict(doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
         SomMap.from_dict(doc)
 
 
@@ -409,3 +435,35 @@ def test_merge_of_one_map_reproduces_it(m):
     merged = merge_maps([m])
     assert merged.weights.tobytes() == m.weights.tobytes()
     assert merged.to_dict() == m.to_dict()
+
+
+def _train_step_clipping_every_row(m, v, hp, label, winner):
+    """Reference update: the same convex move, then a clip of the whole
+    weight matrix rather than of the moved rows only."""
+    alpha, sigma = hp.learning_rate(m.epoch), hp.radius(m.epoch)
+    rows, cols = np.divmod(np.arange(m.neuron_count), m.width)
+    d2 = (rows - rows[winner]) ** 2 + (cols - cols[winner]) ** 2
+    mask = d2 <= sigma * sigma
+    h = np.exp(-d2[mask] / (2.0 * sigma * sigma))
+    w = m.weights.copy()
+    w[mask] += alpha * h[:, None] * (v - w[mask])
+    np.clip(w, 0.0, 1.0, out=w)
+    return w
+
+
+@settings(deadline=None, max_examples=150)
+@given(trained_maps(), st.data())
+def test_train_step_matches_whole_matrix_clip(m, data):
+    hp = SomHyperParams(initial_learning_rate=data.draw(st.floats(1e-3, 1.0)),
+                        initial_radius=data.draw(st.floats(0.1, 8.0)),
+                        lr_decay_constant=data.draw(st.floats(100.0, 1e4)),
+                        radius_decay_constant=data.draw(st.floats(100.0, 1e4)))
+    m.epoch = data.draw(st.integers(0, 5000))     # keeps the radius above 0
+    unit = st.floats(0.0, 1.0)
+    for _ in range(data.draw(st.integers(1, 5))):
+        v = np.array(data.draw(st.lists(unit, min_size=m.dim, max_size=m.dim)))
+        label = data.draw(st.sampled_from([None, BENIGN, MALICIOUS]))
+        win = m.find_winner(v)
+        expected = _train_step_clipping_every_row(m, v, hp, label, win)
+        assert m.train_step(v, hp, label=label) == win
+        assert m.weights.tobytes() == expected.tobytes()
