@@ -3,6 +3,7 @@ feature-normalization and detection settings."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -60,8 +61,9 @@ def parse_config(doc: dict, path: str = "<config>") -> RunConfig:
         levels = [float(x) for x in doc.get("attack_levels", [50, 100, 200, 300])]
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: field 'attack_levels' must list numbers: {e}") from e
-    if not all(x > 0 for x in levels):
-        raise ConfigError(f"{path}: field 'attack_levels' must be positive, got {levels}")
+    if not all(0 < x < math.inf for x in levels):
+        raise ConfigError(f"{path}: field 'attack_levels' must be positive and finite, "
+                          f"got {levels}")
 
     som = dict(doc.get("som", {}))
     width = som.pop("width", 20)

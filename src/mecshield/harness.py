@@ -1,5 +1,5 @@
-"""Deterministic discrete-event simulation wiring agents, controller, traffic
-generation and link delays, for three filtering schemes:
+"""Deterministic simulation wiring agents, controller, traffic generation
+and link delays, for three filtering schemes:
 
   mecshield    local SOM per agent, protection armed on demand, controller
                dispatches policies only to implicated agents
@@ -7,13 +7,25 @@ generation and link delays, for three filtering schemes:
                every agent keeps its filter on
   centralized  all traffic forwarded to one SOM at the controller; verdicts
                return after the round trip
+
+`run` steps one loop over the windows.  The pass of window w, which closes
+at t = round((w+1)*L, 9), applies the policies that arrived by t (at t too)
+in dispatch order, steps every agent in sorted order, logs the `filters`
+event at the unrounded (w+1)*L, then collects and analyzes the reports.  The
+analysis ends at a = round(round(t + link, 9) + analysis, 9) and each policy
+arrives at round(a + link, 9).  A centralized batch reaches the controller's
+map at b = round(t + link, 9) and its verdicts return at
+round(b + analysis + link, 9).  Delays may exceed a window: an analysis
+changes only the controller and a policy acts only once it arrives, so each
+window's analysis runs in its own pass, and policies still in flight after
+the last window are applied at their arrival times.
 """
 from __future__ import annotations
 
 import copy
 import hashlib
-import heapq
 import json
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -32,10 +44,6 @@ SCHEME_MECSHIELD = "mecshield"
 SCHEME_DISTRIBUTED = "distributed"
 SCHEME_CENTRALIZED = "centralized"
 SCHEMES = (SCHEME_MECSHIELD, SCHEME_DISTRIBUTED, SCHEME_CENTRALIZED)
-
-# event ordering at equal timestamps: deliveries before the window that
-# might consume their effects
-_PRIO = {"policy": 0, "verdicts": 1, "analyze": 2, "batch": 3, "window": 4}
 
 
 def derive_seed(root: int, *tags) -> list[int]:
@@ -98,17 +106,20 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not self.agents:
             raise ConfigError("scenario needs at least one agent")
-        if self.duration <= 0 or self.window_length <= 0:
-            raise ConfigError("duration and window_length must be positive")
+        for name in ("duration", "window_length", "base_level", "attack_level"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("link_delay", "analysis_delay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, "
+                                  f"got {getattr(self, name)!r}")
+        if not self.policy_ttl > 0:
+            raise ConfigError(f"policy_ttl must be positive, got {self.policy_ttl!r}")
         windows = self.duration / self.window_length
         if abs(windows - round(windows)) > 1e-9:
             raise ConfigError(f"duration {self.duration} is not a whole number of "
                               f"windows of length {self.window_length}")
-        if self.link_delay < 0 or self.analysis_delay < 0:
-            raise ConfigError("delays must be nonnegative")
-        for name in ("policy_ttl", "base_level", "attack_level"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("pretrain_samples", "som_width", "som_height"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -222,15 +233,20 @@ def generate_traffic(cfg: ScenarioConfig) -> dict[str, list[FlowRecord]]:
     return by_agent
 
 
-def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
-                     spec: NormalizationSpec, window_length: float):
-    """Window the flows and extract one labeled vector per flow."""
+def _window_buckets(flows: list[FlowRecord],
+                    window_length: float) -> dict[int, list[FlowRecord]]:
+    """The flows grouped by the index of the window they start in."""
     buckets: dict[int, list[FlowRecord]] = {}
     for f in flows:
         buckets.setdefault(int(f.start_time // window_length), []).append(f)
+    return buckets
+
+
+def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
+                     spec: NormalizationSpec, window_length: float):
+    """Window the flows and extract one labeled vector per flow."""
     vectors, labels = [], []
-    for w in sorted(buckets):
-        batch = buckets[w]
+    for w, batch in sorted(_window_buckets(flows, window_length).items()):
         stats = window_stats(batch, w * window_length, window_length)
         vecs = extract(batch, mode, spec, stats)
         for v, f in zip(vecs, batch):
@@ -380,28 +396,9 @@ def run(cfg: ScenarioConfig,
     controller = Controller(topology, thresholds=cfg.detection,
                             policy_ttl=cfg.policy_ttl, log=events)
 
-    # bucket flows into windows per agent
-    window_flows: dict[str, dict[int, list[FlowRecord]]] = {}
-    for agent_id, flows in flows_by_agent.items():
-        buckets: dict[int, list[FlowRecord]] = {}
-        for f in flows:
-            w = int(f.start_time // cfg.window_length)
-            if w < n_windows:
-                buckets.setdefault(w, []).append(f)
-        window_flows[agent_id] = buckets
-
-    heap: list = []
-    seq = 0
-
-    def push(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(heap, (round(t, 9), _PRIO[kind], seq, kind, payload))
-        seq += 1
-
+    window_flows = {agent_id: _window_buckets(flows, cfg.window_length)
+                    for agent_id, flows in flows_by_agent.items()}
     agent_order = sorted(agents)
-    for w in range(n_windows):
-        push((w + 1) * cfg.window_length, "window", w)
-
     ctrl_work_by_window: dict[int, int] = {w: 0 for w in range(n_windows)}
     agent_work_by_window: dict[int, int] = {w: 0 for w in range(n_windows)}
 
@@ -417,61 +414,56 @@ def run(cfg: ScenarioConfig,
                     "reason": v.reason, "predicted": v.predicted,
                     "truth": f.truth_label})
 
-    while heap:
-        t, _prio, _seq, kind, payload = heapq.heappop(heap)
-        if kind == "window":
-            # every agent closes window w; the controller analyzes their reports together
-            w = payload
-            reports = []
-            for agent_id in agent_order:
-                agent = agents[agent_id]
-                agent.tick(t)
-                flows = window_flows[agent_id].get(w, [])
-                if central_map is not None:
-                    stats = agent.observe(flows, t)
+    link, analysis = cfg.link_delay, cfg.analysis_delay
+    in_flight: list = []    # (arrival, agent id, policy), sorted: analyses end in window order
+
+    def deliver(until: float) -> None:
+        while in_flight and in_flight[0][0] <= until:
+            at, agent_id, policy = in_flight.pop(0)
+            agents[agent_id].apply_policy(policy, at)
+
+    for w in range(n_windows):
+        t = round((w + 1) * cfg.window_length, 9)
+        deliver(t)
+        reports = []
+        for agent_id in agent_order:
+            agent = agents[agent_id]
+            agent.tick(t)
+            flows = window_flows[agent_id].get(w, [])
+            if central_map is None:
+                verdicts, work = agent.ingest(flows, t)
+                agent_work_by_window[w] += work
+                log_verdicts(agent_id, flows, verdicts)
+            else:
+                stats = agent.observe(flows, t)
+                if flows:
+                    b = round(t + link, 9)
                     vecs = extract(flows, cfg.feature_mode, cfg.norm_spec, stats)
-                    if flows:
-                        push(t + cfg.link_delay, "batch", (agent_id, flows, vecs))
-                else:
-                    verdicts, work = agent.ingest(flows, t)
-                    agent_work_by_window[w] += work
-                    log_verdicts(agent_id, flows, verdicts)
-                reports.append(agent.make_report())
-            events.append({"kind": "filters", "t": (w + 1) * cfg.window_length,
-                           "window": w,
-                           "active": sum(1 for a in agents.values() if a.mode == PROTECTION)})
-            # the reports arrive at a rounded event time, like every message
-            push(round(t + cfg.link_delay, 9) + cfg.analysis_delay, "analyze", reports)
-        elif kind == "analyze":
-            reports = payload
-            before = controller.work_units
-            view = controller.collect(reports)
-            assessment = controller.analyze(view)
-            ctrl_work_by_window[ctrl_window(t)] += controller.work_units - before
-            if assessment.detected:
-                events.append({"kind": "attack_detected", "t": t,
-                               "method": assessment.method,
-                               "victims": sorted(assessment.victim_addrs)})
-                if cfg.scheme == SCHEME_MECSHIELD:
-                    for p in controller.dispatch(assessment, t):
-                        for agent_id in p.addressed_agents:
-                            push(t + cfg.link_delay, "policy", (agent_id, p))
-        elif kind == "policy":
-            agent_id, policy = payload
-            agents[agent_id].apply_policy(policy, t)
-        elif kind == "batch":
-            agent_id, flows, vecs = payload
-            labels = central_map.classify_batch(vecs)
-            for v, lab in zip(vecs, labels):
-                central_map.train_step(v, cfg.hyperparams, label=lab)
-            # one unit per flow classified, one per flow trained
-            controller.work_units += 2 * len(flows)
-            ctrl_work_by_window[ctrl_window(t)] += 2 * len(flows)
-            push(t + cfg.analysis_delay + cfg.link_delay, "verdicts",
-                 (agent_id, flows, labels))
-        elif kind == "verdicts":
-            agent_id, flows, labels = payload
-            log_verdicts(agent_id, flows, agents[agent_id].enforce(flows, labels, t))
+                    labels = central_map.classify_batch(vecs)
+                    for v, lab in zip(vecs, labels):
+                        central_map.train_step(v, cfg.hyperparams, label=lab)
+                    # one unit per flow classified, one per flow trained
+                    controller.work_units += 2 * len(flows)
+                    ctrl_work_by_window[ctrl_window(b)] += 2 * len(flows)
+                    log_verdicts(agent_id, flows, agent.enforce(
+                        flows, labels, round(b + analysis + link, 9)))
+            reports.append(agent.make_report())
+        events.append({"kind": "filters", "t": (w + 1) * cfg.window_length,
+                       "window": w,
+                       "active": sum(1 for a in agents.values() if a.mode == PROTECTION)})
+        analyzed = round(round(t + link, 9) + analysis, 9)
+        before = controller.work_units
+        assessment = controller.analyze(controller.collect(reports))
+        ctrl_work_by_window[ctrl_window(analyzed)] += controller.work_units - before
+        if assessment.detected:
+            events.append({"kind": "attack_detected", "t": analyzed,
+                           "method": assessment.method,
+                           "victims": sorted(assessment.victim_addrs)})
+            if cfg.scheme == SCHEME_MECSHIELD:
+                for p in controller.dispatch(assessment, analyzed):
+                    in_flight.extend((round(analyzed + link, 9), agent_id, p)
+                                     for agent_id in p.addressed_agents)
+    deliver(math.inf)
 
     for agent_id in agent_order:
         a = agents[agent_id]

@@ -135,8 +135,11 @@ class SomMap:
         sigma = hp.radius(self.epoch)
         win = self.find_winner(v) if winner is None else winner
         d2_grid = _lattice_sq_dists(self.width, self.height)[win]
-        mask = d2_grid <= sigma * sigma
-        h = np.exp(-d2_grid[mask] / (2.0 * sigma * sigma))
+        s2 = sigma * sigma
+        mask = d2_grid <= s2
+        # once s2 underflows to 0 the mask holds the winner alone, at the
+        # Gaussian's limit weight 1 (exp(-0/0) would be NaN)
+        h = np.exp(-d2_grid[mask] / (2.0 * sigma * sigma)) if s2 > 0.0 else np.ones(1)
         moved = self.weights[mask]
         moved += alpha * h[:, None] * (v - moved)
         # convex move; the clip only guards against ulp-level overshoot at

@@ -84,7 +84,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     path.write_text(yaml.safe_dump(doc))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o" / "metrics.csv").exists()
-    # a removed field, then values out of range
+    # a removed field, then values out of range or not finite
+    nan, inf = float("nan"), float("inf")
     for section, name, value in [("scenario", "drop_packets_max", 3),
                                  ("scenario", "policy_ttl", 0.0),
                                  ("scenario", "base_level", 0.0),
@@ -92,7 +93,15 @@ def test_config_error_exit_code(tmp_path, capsys):
                                  ("scenario", "pretrain_samples", 0),
                                  ("som", "width", 0), ("som", "height", 0),
                                  (None, "attack_levels", [100, 0]),
-                                 (None, "attack_levels", [-300])]:
+                                 (None, "attack_levels", [-300]),
+                                 ("scenario", "duration", nan),
+                                 ("scenario", "window_length", inf),
+                                 ("scenario", "link_delay", nan),
+                                 ("scenario", "analysis_delay", inf),
+                                 ("scenario", "base_level", inf),
+                                 ("scenario", "attack_level", nan),
+                                 (None, "attack_levels", [inf]),
+                                 (None, "attack_levels", [100, nan])]:
         doc = tiny_config_doc()
         (doc if section is None else doc[section])[name] = value
         path.write_text(yaml.safe_dump(doc))

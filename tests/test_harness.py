@@ -19,6 +19,9 @@ from mecshield.harness import (SCHEMES, ScenarioConfig, build_training_set,
                                run, run_matrix)
 from mecshield.traffic import LABEL_MALICIOUS
 
+# a NaN or an overflow in the simulation fails the test that meets it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def small_cfg(scheme="mecshield", seed=3, level=100.0):
     """Reference scenario shrunk for unit-test speed."""
@@ -67,10 +70,17 @@ def test_scenario_validation_errors():
     bad.duration = 4.5 * bad.window_length      # a partial last window
     with pytest.raises(ConfigError, match="whole number of windows"):
         bad.validate()
+    nan, inf = float("nan"), float("inf")
     for name, value in [("policy_ttl", 0.0), ("base_level", 0.0),
                         ("attack_level", 0.0), ("attack_level", -50.0),
                         ("pretrain_samples", 0), ("som_width", 0),
-                        ("som_height", 0)]:
+                        ("som_height", 0), ("policy_ttl", nan),
+                        ("duration", nan), ("duration", inf),
+                        ("window_length", nan), ("window_length", inf),
+                        ("link_delay", nan), ("link_delay", inf),
+                        ("analysis_delay", nan), ("analysis_delay", inf),
+                        ("base_level", nan), ("base_level", inf),
+                        ("attack_level", nan), ("attack_level", inf)]:
         bad = copy.deepcopy(cfg)
         setattr(bad, name, value)
         with pytest.raises(ConfigError, match=name):

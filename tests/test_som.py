@@ -10,6 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from mecshield.som import (BENIGN, MALICIOUS, UNLABELED, SomHyperParams,
                            SomMap, UnlabeledMapError, init_map, merge_maps)
 
+# a NaN or an overflow in the SOM arithmetic fails the test that meets it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def brute_force_winner(m, v):
     """Independent oracle: plain loop over neurons with true Euclidean distance."""
@@ -104,6 +107,23 @@ def test_train_step_updates_tallies_and_epoch():
     assert m.benign_wins[2] == 1
     with pytest.raises(ValueError):
         m.train_step(v, hp, label="weird")
+
+
+@pytest.mark.parametrize("epoch,radius_decay", [(10**6, 1000.0), (1_200_000, 3000.0)])
+def test_train_step_after_radius_underflow_moves_winner_only(epoch, radius_decay):
+    # sigma^2 is 0.0 here; the winner keeps the Gaussian's limit weight 1
+    hp = SomHyperParams(initial_learning_rate=0.5, initial_radius=10.0,
+                        lr_decay_constant=1e15, radius_decay_constant=radius_decay)
+    assert hp.radius(epoch) ** 2 == 0.0
+    m = init_map(3, 3, 5, seed=1)
+    m.epoch = epoch
+    before = m.weights.copy()
+    v = np.full(5, 0.5)
+    win = m.train_step(v, hp)
+    assert np.isfinite(m.weights).all()
+    expected = before.copy()
+    expected[win] += hp.learning_rate(epoch) * (v - before[win])
+    assert m.weights.tobytes() == expected.tobytes()
 
 
 def test_decay_schedule_values():
