@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import RunConfig, config_to_dict, load_config, reference_config
+from .config import MAX_FLOWS, RunConfig, config_to_dict, load_config, reference_config
 from .errors import ConfigError, DataError
 from .features import MODE_DIM
 from .harness import METRIC_COLUMNS, flows_to_samples, run_matrix
@@ -38,9 +38,9 @@ def _load_or_default_config(args) -> RunConfig:
     if getattr(args, "out", None):
         rc.output_dir = args.out
     if getattr(args, "scheme", None):
-        for s in args.scheme:
-            if s not in rc.schemes:
-                raise ConfigError(f"--scheme {s!r} not in configured schemes {rc.schemes}")
+        if len(set(args.scheme)) < len(args.scheme) or not set(args.scheme) <= set(rc.schemes):
+            raise ConfigError(f"--scheme must name distinct schemes of {rc.schemes}, "
+                              f"got {args.scheme}")
         rc.schemes = list(args.scheme)
     return rc
 
@@ -176,15 +176,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     if args.kind == "benign":
-        profile = default_benign_profile(args.category)
-        flows = gen_benign(profile, args.duration, seed)
+        profile, gen = default_benign_profile(args.category), gen_benign
     else:
-        profile = AttackProfile(scenario=args.scenario, sub_mode=args.sub_mode,
-                                target_addr=args.target_addr,
-                                bot_count=args.bots)
-        flows = gen_attack(profile, args.duration, seed)
+        try:
+            profile = AttackProfile(scenario=args.scenario, sub_mode=args.sub_mode,
+                                    target_addr=args.target_addr,
+                                    bot_count=args.bots)
+        except ValueError as e:     # a bot count or sub-mode that the scenario rejects
+            raise ConfigError(f"--bots {args.bots}, --scenario {args.scenario!r}, "
+                              f"--sub-mode {args.sub_mode!r}: {e}") from e
+        gen = gen_attack
+    expected = profile.flow_rate() * args.duration    # NaN for a NaN duration
+    if not 0 < expected <= MAX_FLOWS:
+        raise ConfigError(f"--duration must be positive and give at most MAX_FLOWS = "
+                          f"{MAX_FLOWS} flows, got {args.duration!r} (about {expected:.3g} flows)")
+    flows = gen(profile, args.duration, args.seed)
     write_flow_csv(args.output, flows)
     print(f"wrote {len(flows)} flows to {args.output}")
     return 0
@@ -238,7 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:     # argparse has printed the usage error, naming the argument
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except ConfigError as e:

@@ -1,132 +1,311 @@
-"""Declarative run configuration: one YAML file drives scenario, SOM,
-feature-normalization and detection settings."""
+"""Declarative run configuration: its types, YAML schema, parsing, echo and
+checks.  One YAML file drives scenario, SOM, feature and detection settings."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, replace
+from enum import Enum
+from typing import ClassVar
 
 import yaml
 
+from .agent import AgentConfig
 from .controller import DetectionThresholds
 from .errors import ConfigError
 from .features import FeatureMode, NormalizationSpec
-from .harness import SCHEMES, AgentSpec, AttackSpec, ScenarioConfig
 from .som import SomHyperParams
-from .traffic import AttackProfile, BenignProfile
+from .traffic import VOLUMETRIC, AttackProfile, BenignProfile, default_benign_profile
 
 CONFIG_VERSION = 1
+
+SCHEME_MECSHIELD = "mecshield"
+SCHEME_DISTRIBUTED = "distributed"
+SCHEME_CENTRALIZED = "centralized"
+SCHEMES = (SCHEME_MECSHIELD, SCHEME_DISTRIBUTED, SCHEME_CENTRALIZED)
+
+# The most attack flows one cell (run and pretraining) or flows one `gen` call
+# may generate; the largest benchmark cell counts about 43,000.  Beyond it a
+# run takes hours or exhausts memory, and once 1/rate is below the spacing of
+# floats near t, a generator's `t += 1/rate` never ends.
+MAX_FLOWS = 10_000_000
+
+
+@dataclass
+class AgentSpec:
+    agent_id: str = field(metadata={"key": ("id",)})
+    category: str
+    addr_lo: int
+    addr_hi: int
+    # the profile's category is the agent's
+    profile: BenignProfile | None = field(default=None, metadata={"given": ("category",)})
+
+    def benign_profile(self) -> BenignProfile:
+        return self.profile if self.profile is not None else default_benign_profile(self.category)
+
+
+@dataclass
+class AttackSpec:
+    profile: AttackProfile = field(metadata={"key": ()})      # its keys sit beside the spec's
+    agent_id: str = field(metadata={"key": ("agent",)})     # agent whose network hosts the bots
+    start_time: float = 0.0
+    scale_with_level: bool = True # level multiplies the bot request/session rate
+    src_offset: int = 1000        # bots live at agent.addr_lo + src_offset + i
+
+    def __post_init__(self):
+        # logged and echoed as a float, also when written as an integer
+        self.start_time = float(self.start_time)
+
+
+def pretrain_duration(samples: int, rate: float, malicious: bool) -> float:
+    """Seconds of traffic `harness.build_training_set` first generates for
+    `samples` pretraining flows at `rate` flows/s."""
+    return samples / rate * 1.3 + (30.0 if malicious else 60.0)
+
+
+@dataclass(kw_only=True)
+class ScenarioConfig(AgentConfig):
+    """One cell's scenario; the AgentConfig fields are every agent's settings.
+    Fields sit in the document's `scenario` section unless their key says otherwise."""
+    DOC_SECTION: ClassVar[tuple[str, ...]] = ("scenario",)
+
+    agents: list[AgentSpec]
+    attacks: list[AttackSpec] = field(default_factory=list)
+    # one cell's scheme and level, set by for_cell from `schemes` and `attack_levels`
+    scheme: str = field(default=SCHEME_MECSHIELD, metadata={"key": None})
+    attack_level: float = field(default=50.0, metadata={"key": None})
+    base_level: float = 50.0          # level at which profile rates are quoted
+    level_rate_unit: float = 0.0      # offered bytes/s per level unit; 0 = no byte rescale
+    duration: float = 60.0
+    link_delay: float = 0.01
+    analysis_delay: float = 0.05
+    seed: int = field(default=0, metadata={"key": ("seed",)})
+    pretrain_samples: int = 10000
+    pretrain_malicious_fraction: float = 0.5
+    som_width: int = field(default=20, metadata={"key": ("som", "width")})
+    som_height: int = field(default=20, metadata={"key": ("som", "height")})
+    hyperparams: SomHyperParams = field(default_factory=SomHyperParams,
+                                        metadata={"key": ("som",)})
+    norm_spec: NormalizationSpec = field(default_factory=NormalizationSpec,
+                                         metadata={"key": ("features",)})
+    feature_mode: FeatureMode = field(default=FeatureMode.SOURCE_SITE,
+                                      metadata={"key": ("features", "mode")})
+    detection: DetectionThresholds = field(default_factory=DetectionThresholds,
+                                           metadata={"key": ("detection",)})
+    policy_ttl: float = 300.0
+
+    def validate(self) -> None:
+        if self.scheme not in SCHEMES:
+            raise ConfigError(f"schemes: unknown scheme {self.scheme!r}, "
+                              f"expected one of {SCHEMES}")
+        if not 0 < self.attack_level < math.inf:
+            raise ConfigError(f"attack_levels: attack_level must be positive and finite, "
+                              f"got {self.attack_level!r}")
+        if not self.agents:
+            raise ConfigError("scenario.agents must list at least one agent")
+        for name in ("duration", "window_length", "base_level"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("link_delay", "analysis_delay"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, "
+                                  f"got {getattr(self, name)!r}")
+        if not self.policy_ttl > 0:
+            raise ConfigError(f"policy_ttl must be positive, got {self.policy_ttl!r}")
+        windows = self.duration / self.window_length
+        if abs(windows - round(windows)) > 1e-9:
+            raise ConfigError(f"duration {self.duration} is not a whole number of "
+                              f"windows of length {self.window_length}")
+        for name in ("pretrain_samples", "som_width", "som_height"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not (0.0 < self.pretrain_malicious_fraction < 1.0):
+            raise ConfigError("pretrain_malicious_fraction must be in (0,1)")
+        ids = [a.agent_id for a in self.agents]
+        if len(set(ids)) != len(ids):
+            raise ConfigError("duplicate agent ids")
+        spans = sorted((a.addr_lo, a.addr_hi, a.agent_id) for a in self.agents)
+        for (lo1, hi1, id1), (lo2, hi2, id2) in zip(spans, spans[1:]):
+            if lo2 <= hi1:
+                raise ConfigError(f"agent address ranges overlap: {id1} and {id2}")
+        for a in self.agents:
+            if a.addr_lo > a.addr_hi:
+                raise ConfigError(f"agent {a.agent_id}: addr_lo > addr_hi")
+        for atk in self.attacks:
+            if atk.agent_id not in ids:
+                raise ConfigError(f"attack references unknown agent {atk.agent_id!r}")
+            if not (0.0 <= atk.start_time < self.duration):
+                raise ConfigError("attack start_time must lie within the run")
+        # the leveled attacks' flows in the run and every agent's first
+        # pretraining pass, each attack counted with all malicious samples
+        n_mal = int(self.pretrain_samples * self.pretrain_malicious_fraction)
+        flows = 0.0
+        for k, atk in enumerate(self.leveled_attacks()):
+            rate = atk.profile.flow_rate()
+            if not rate > 0:
+                raise ConfigError(f"scenario.attacks[{k}]: flow rate {rate!r} is not positive")
+            flows += rate * (self.duration - atk.start_time + len(self.agents)
+                             * pretrain_duration(n_mal, rate, malicious=True))
+        if not flows <= MAX_FLOWS:
+            raise ConfigError(f"attack_levels: at attack_level {self.attack_level!r} and "
+                              f"base_level {self.base_level!r} the cell would generate about "
+                              f"{flows:.3g} flows, more than MAX_FLOWS = {MAX_FLOWS}")
+
+    def for_cell(self, scheme: str, level: float,
+                 seed: int | None = None) -> "ScenarioConfig":
+        """Independent copy set to one (scheme, level) cell, optionally reseeded."""
+        return replace(copy.deepcopy(self), scheme=scheme, attack_level=float(level),
+                       seed=self.seed if seed is None else seed)
+
+    def leveled_attacks(self) -> list[AttackSpec]:
+        """The attacks at this cell's level: a scaled attack's bot rate is
+        multiplied by attack_level / base_level."""
+        factor = self.attack_level / self.base_level
+        out = []
+        for spec in self.attacks:
+            p = copy.deepcopy(spec.profile)
+            if spec.scale_with_level:
+                if p.scenario == VOLUMETRIC:
+                    p.requests_per_bot_per_s *= factor
+                else:
+                    p.base_session_rate *= factor
+                if self.level_rate_unit > 0:
+                    p.offered_rate = self.level_rate_unit * self.attack_level
+            out.append(replace(spec, profile=p))
+        return out
 
 
 @dataclass
 class RunConfig:
-    output_dir: str
-    schemes: list[str]
-    attack_levels: list[float]
-    scenario: ScenarioConfig        # its seed is the run seed
+    scenario: ScenarioConfig = field(metadata={"key": ()})   # its seed is the run seed
+    output_dir: str = "out"
+    schemes: list[str] = field(default_factory=lambda: list(SCHEMES))
+    attack_levels: list[float] = field(default_factory=lambda: [50.0, 100.0, 200.0, 300.0])
 
     def scenario_for(self, scheme: str, level: float, seed: int | None = None) -> ScenarioConfig:
         return self.scenario.for_cell(scheme, level, seed)
 
 
-def _build(cls, data: dict, where: str, **extra):
-    """Construct a dataclass from a mapping, rejecting unknown keys."""
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
+# -- the document layout -----------------------------------------------------
+# A field's `key` metadata is its key path from the mapping its class is read
+# from (default: its name inside the class's DOC_SECTION; None: not in the
+# document).  A dataclass field at path P reads the mapping at P less the keys
+# its siblings hold there, so P = () reads the keys beside theirs.  Fields
+# named in its `given` metadata come from its parent, not the document.
+
+def _fields(cls) -> list:
+    section = getattr(cls, "DOC_SECTION", ())
+    return [(f, f.metadata.get("key", (*section, f.name))) for f in dataclasses.fields(cls)
+            if f.metadata.get("key", ()) is not None]
+
+
+def _build(cls, data, where: str, **given):
+    """`cls` from the document mapping `data`.  Unknown keys, missing fields
+    and values not of the declared type are rejected by their place."""
+    kwargs = dict(given)
+    _read(data, [(f, p) for f, p in _fields(cls) if f.name not in given],
+          typing.get_type_hints(cls), where, kwargs)
     try:
-        return cls(**{**data, **extra})
+        return cls(**kwargs)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+        raise ConfigError(f"{where or 'top level'}: {e}") from e
+
+
+def _read(data, entries: list, hints: dict, where: str, kwargs: dict) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'top level'}: must be a mapping, got {data!r}")
+    rest, groups, beside = dict(data), {}, None
+    for f, path in entries:
+        if path:
+            groups.setdefault(path[0], []).append((f, path[1:]))
+        else:
+            beside = f
+    for key, group in groups.items():
+        at = f"{where}.{key}" if where else key
+        f, tail = group[0]
+        if len(group) > 1 or tail:
+            _read(rest.pop(key, {}), group, hints, at, kwargs)
+        elif key in rest:
+            kwargs[f.name] = _value(rest.pop(key), hints[f.name], at,
+                                    **{g: kwargs[g] for g in f.metadata.get("given", ())})
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where or 'top level'}: missing field {key!r}")
+    if beside is not None:
+        kwargs[beside.name] = _build(hints[beside.name], rest, where)
+    elif rest:
+        raise ConfigError(f"{where or 'top level'}: unknown field(s) {sorted(rest)}")
+
+
+def _value(value, tp, where: str, **given):
+    """`value` checked against the declared type `tp`; an integer passes as a
+    float and is kept as written."""
+    if type(None) in typing.get_args(tp):      # X | None
+        if value is None:
+            return None
+        tp = typing.get_args(tp)[0]
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, where, **given)
+    if typing.get_origin(tp) is list:
+        if isinstance(value, list):
+            return [_value(v, typing.get_args(tp)[0], f"{where}[{i}]")
+                    for i, v in enumerate(value)]
+    elif issubclass(tp, Enum):
+        choices = [m.value for m in tp]
+        if value in choices:
+            return tp(value)
+        raise ConfigError(f"{where}: must be one of {choices}, got {value!r}")
+    elif isinstance(value, (int, float) if tp is float else tp) and \
+            (tp is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{where}: must be {tp.__name__}, got {value!r}")
+
+
+def _dump(obj):
+    """The document form of `obj`: what `_build` and `_value` read back."""
+    if isinstance(obj, list):
+        return [_dump(v) for v in obj]
+    if not dataclasses.is_dataclass(obj):
+        return obj.value if isinstance(obj, Enum) else copy.copy(obj)
+    out: dict = {}
+    for f, path in _fields(type(obj)):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            value = {k: v for k, v in _dump(value).items() if k not in f.metadata.get("given", ())}
+        elif value is not None:
+            path, value = path[:-1], {path[-1]: _dump(value)}
+        else:
+            continue
+        section = out
+        for key in path:
+            section = section.setdefault(key, {})
+        section.update(value)
+    return out
 
 
 def parse_config(doc: dict, path: str = "<config>") -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    version = doc.get("version")
-    if version != CONFIG_VERSION:
+    doc = dict(doc)
+    version = doc.pop("version", None)
+    if type(version) is not int or version != CONFIG_VERSION:
         raise ConfigError(f"{path}: field 'version' must be {CONFIG_VERSION}, got {version!r}")
-    known_top = {"version", "seed", "output_dir", "schemes", "attack_levels",
-                 "scenario", "som", "features", "detection"}
-    unknown = set(doc) - known_top
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level field(s) {sorted(unknown)}")
-    schemes = doc.get("schemes", list(SCHEMES))
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigError(f"{path}: field 'schemes' has unknown scheme {s!r}; "
-                              f"expected one of {SCHEMES}")
     try:
-        levels = [float(x) for x in doc.get("attack_levels", [50, 100, 200, 300])]
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: field 'attack_levels' must list numbers: {e}") from e
-    if not all(0 < x < math.inf for x in levels):
-        raise ConfigError(f"{path}: field 'attack_levels' must be positive and finite, "
-                          f"got {levels}")
-
-    som = dict(doc.get("som", {}))
-    width = som.pop("width", 20)
-    height = som.pop("height", 20)
-    hp = _build(SomHyperParams, som, f"{path}: som")
-
-    feats = dict(doc.get("features", {}))
-    feat_mode = feats.pop("mode", "source")
-    try:
-        mode = FeatureMode(feat_mode)
-    except ValueError:
-        raise ConfigError(f"{path}: features.mode must be 'source' or 'destination', got {feat_mode!r}")
-    norm = _build(NormalizationSpec, feats, f"{path}: features")
-
-    detection = _build(DetectionThresholds, dict(doc.get("detection", {})),
-                       f"{path}: detection")
-
-    sc = dict(doc.get("scenario", {}))
-    agents_doc = sc.pop("agents", None)
-    if not agents_doc:
-        raise ConfigError(f"{path}: scenario.agents must list at least one agent")
-    agents = []
-    for i, a in enumerate(agents_doc):
-        a = dict(a)
-        where = f"{path}: scenario.agents[{i}]"
-        try:
-            agent_id = a.pop("id")
-            category = a.pop("category")
-            lo, hi = int(a.pop("addr_lo")), int(a.pop("addr_hi"))
-        except KeyError as e:
-            raise ConfigError(f"{where}: missing field {e}")
-        prof_doc = a.pop("profile", None)
-        if a:
-            raise ConfigError(f"{where}: unknown field(s) {sorted(a)}")
-        profile = None
-        if prof_doc is not None:
-            profile = _build(BenignProfile, dict(prof_doc), f"{where}.profile",
-                             category=category)
-        agents.append(AgentSpec(agent_id, category, lo, hi, profile))
-
-    attacks = []
-    for i, atk in enumerate(sc.pop("attacks", [])):
-        atk = dict(atk)
-        where = f"{path}: scenario.attacks[{i}]"
-        try:
-            agent_id = atk.pop("agent")
-        except KeyError:
-            raise ConfigError(f"{where}: missing field 'agent'")
-        start = float(atk.pop("start_time", 0.0))
-        scale = bool(atk.pop("scale_with_level", True))
-        offset = int(atk.pop("src_offset", 1000))
-        profile = _build(AttackProfile, atk, where)
-        attacks.append(AttackSpec(profile, agent_id, start, scale, offset))
-
-    scenario = _build(ScenarioConfig, sc, f"{path}: scenario",
-                      agents=agents, attacks=attacks,
-                      hyperparams=hp, norm_spec=norm, feature_mode=mode,
-                      detection=detection, som_width=width, som_height=height,
-                      seed=int(doc.get("seed", 0)))
-    scenario.validate()
-    return RunConfig(output_dir=str(doc.get("output_dir", "out")),
-                     schemes=list(schemes), attack_levels=levels,
-                     scenario=scenario)
+        rc = _build(RunConfig, doc, "")
+        rc.attack_levels = [float(x) for x in rc.attack_levels]
+        for name in ("schemes", "attack_levels"):
+            values = getattr(rc, name)
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"{name} must list distinct values, at least one, "
+                                  f"got {values}")
+        for scheme in rc.schemes:
+            for level in rc.attack_levels:
+                replace(rc.scenario, scheme=scheme, attack_level=level).validate()
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return rc
 
 
 def load_config(path) -> RunConfig:
@@ -140,49 +319,9 @@ def load_config(path) -> RunConfig:
     return parse_config(doc, str(path))
 
 
-# ScenarioConfig fields that config_to_dict writes somewhere other than the
-# scalar entries of the "scenario" section
-_ECHOED_ELSEWHERE = {"agents", "attacks", "seed", "som_width", "som_height",
-                     "hyperparams", "norm_spec", "feature_mode", "detection"}
-
-
 def config_to_dict(rc: RunConfig) -> dict:
     """Full echo of a RunConfig; parse_config on the result reproduces it."""
-    sc = rc.scenario
-    agents = []
-    for a in sc.agents:
-        entry = {"id": a.agent_id, "category": a.category,
-                 "addr_lo": a.addr_lo, "addr_hi": a.addr_hi}
-        if a.profile is not None:
-            prof = dataclasses.asdict(a.profile)
-            prof.pop("category")
-            entry["profile"] = prof
-        agents.append(entry)
-    attacks = []
-    for atk in sc.attacks:
-        entry = dataclasses.asdict(atk.profile)
-        entry.update({"agent": atk.agent_id, "start_time": atk.start_time,
-                      "scale_with_level": atk.scale_with_level,
-                      "src_offset": atk.src_offset})
-        attacks.append(entry)
-    scenario = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)
-                if f.name not in _ECHOED_ELSEWHERE}
-    scenario.update(agents=agents, attacks=attacks)
-    som = dataclasses.asdict(sc.hyperparams)
-    som.update({"width": sc.som_width, "height": sc.som_height})
-    features = dataclasses.asdict(sc.norm_spec)
-    features["mode"] = sc.feature_mode.value
-    return {
-        "version": CONFIG_VERSION,
-        "seed": sc.seed,
-        "output_dir": rc.output_dir,
-        "schemes": list(rc.schemes),
-        "attack_levels": list(rc.attack_levels),
-        "scenario": scenario,
-        "som": som,
-        "features": features,
-        "detection": dataclasses.asdict(sc.detection),
-    }
+    return {"version": CONFIG_VERSION, **_dump(rc)}
 
 
 def reference_config(seed: int = 7) -> RunConfig:

@@ -22,28 +22,22 @@ the last window are applied at their arrival times.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import Agent, AgentConfig, BLOCK, DROP, FORWARD, PROTECTION
-from .controller import Controller, DetectionThresholds
+from .agent import Agent, BLOCK, DROP, FORWARD, PROTECTION
+from .config import (SCHEME_CENTRALIZED, SCHEME_DISTRIBUTED, SCHEME_MECSHIELD,
+                     SCHEMES, AgentSpec, ScenarioConfig, pretrain_duration)  # noqa: F401 (re-export)
+from .controller import Controller
 from .errors import ConfigError
 from .features import FeatureMode, MODE_DIM, NormalizationSpec, extract, window_stats
-from .som import BENIGN, MALICIOUS, SomHyperParams, SomMap, init_map, merge_maps
-from .traffic import (VOLUMETRIC, AttackProfile, BenignProfile,
-                      FlowRecord, LABEL_MALICIOUS, default_benign_profile,
-                      gen_attack, gen_benign)
-
-SCHEME_MECSHIELD = "mecshield"
-SCHEME_DISTRIBUTED = "distributed"
-SCHEME_CENTRALIZED = "centralized"
-SCHEMES = (SCHEME_MECSHIELD, SCHEME_DISTRIBUTED, SCHEME_CENTRALIZED)
+from .som import BENIGN, MALICIOUS, SomMap, init_map, merge_maps
+from .traffic import FlowRecord, LABEL_MALICIOUS, gen_attack, gen_benign
 
 
 def derive_seed(root: int, *tags) -> list[int]:
@@ -52,112 +46,6 @@ def derive_seed(root: int, *tags) -> list[int]:
     for t in tags:
         out.append(zlib.crc32(str(t).encode()) & 0xFFFFFFFF)
     return out
-
-
-@dataclass
-class AgentSpec:
-    agent_id: str
-    category: str
-    addr_lo: int
-    addr_hi: int
-    profile: BenignProfile | None = None
-
-    def benign_profile(self) -> BenignProfile:
-        return self.profile if self.profile is not None else default_benign_profile(self.category)
-
-
-@dataclass
-class AttackSpec:
-    profile: AttackProfile
-    agent_id: str                 # agent whose network hosts the bots
-    start_time: float = 0.0
-    scale_with_level: bool = True # level multiplies the bot request/session rate
-    src_offset: int = 1000        # bots live at agent.addr_lo + src_offset + i
-
-
-@dataclass
-class ScenarioConfig:
-    agents: list[AgentSpec]
-    attacks: list[AttackSpec] = field(default_factory=list)
-    scheme: str = SCHEME_MECSHIELD
-    attack_level: float = 50.0
-    base_level: float = 50.0          # level at which profile rates are quoted
-    level_rate_unit: float = 0.0      # offered bytes/s per level unit; 0 = no byte rescale
-    duration: float = 60.0
-    window_length: float = 5.0
-    link_delay: float = 0.01
-    analysis_delay: float = 0.05
-    seed: int = 0
-    pretrain_samples: int = 10000
-    pretrain_malicious_fraction: float = 0.5
-    som_width: int = 20
-    som_height: int = 20
-    hyperparams: SomHyperParams = field(default_factory=SomHyperParams)
-    norm_spec: NormalizationSpec = field(default_factory=NormalizationSpec)
-    feature_mode: FeatureMode = FeatureMode.SOURCE_SITE
-    quiet_period: float = 30.0
-    local_trigger_count: int = 5
-    block_packets_min: int = 1000
-    detection: DetectionThresholds = field(default_factory=DetectionThresholds)
-    policy_ttl: float = 300.0
-
-    def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not self.agents:
-            raise ConfigError("scenario needs at least one agent")
-        for name in ("duration", "window_length", "base_level", "attack_level"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("link_delay", "analysis_delay"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be nonnegative and finite, "
-                                  f"got {getattr(self, name)!r}")
-        if not self.policy_ttl > 0:
-            raise ConfigError(f"policy_ttl must be positive, got {self.policy_ttl!r}")
-        windows = self.duration / self.window_length
-        if abs(windows - round(windows)) > 1e-9:
-            raise ConfigError(f"duration {self.duration} is not a whole number of "
-                              f"windows of length {self.window_length}")
-        for name in ("pretrain_samples", "som_width", "som_height"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if not (0.0 < self.pretrain_malicious_fraction < 1.0):
-            raise ConfigError("pretrain_malicious_fraction must be in (0,1)")
-        ids = [a.agent_id for a in self.agents]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("duplicate agent ids")
-        spans = sorted((a.addr_lo, a.addr_hi, a.agent_id) for a in self.agents)
-        for (lo1, hi1, id1), (lo2, hi2, id2) in zip(spans, spans[1:]):
-            if lo2 <= hi1:
-                raise ConfigError(f"agent address ranges overlap: {id1} and {id2}")
-        for a in self.agents:
-            if a.addr_lo > a.addr_hi:
-                raise ConfigError(f"agent {a.agent_id}: addr_lo > addr_hi")
-        for atk in self.attacks:
-            if atk.agent_id not in ids:
-                raise ConfigError(f"attack references unknown agent {atk.agent_id!r}")
-            if not (0.0 <= atk.start_time < self.duration):
-                raise ConfigError("attack start_time must lie within the run")
-
-    def agent_config(self) -> AgentConfig:
-        return AgentConfig(
-            window_length=self.window_length, quiet_period=self.quiet_period,
-            local_trigger_count=self.local_trigger_count,
-            block_packets_min=self.block_packets_min,
-            feature_mode=self.feature_mode, norm_spec=self.norm_spec,
-            hyperparams=self.hyperparams)
-
-    def for_cell(self, scheme: str, level: float,
-                 seed: int | None = None) -> "ScenarioConfig":
-        """Independent copy set to one (scheme, level) cell, optionally reseeded."""
-        cfg = copy.deepcopy(self)
-        cfg.scheme = scheme
-        cfg.attack_level = float(level)
-        if seed is not None:
-            cfg.seed = seed
-        return cfg
 
 
 @dataclass
@@ -187,22 +75,6 @@ class RunMetrics:
 
 # -- traffic layout --------------------------------------------------------
 
-def _leveled_attacks(cfg: ScenarioConfig) -> list[AttackSpec]:
-    factor = cfg.attack_level / cfg.base_level
-    out = []
-    for spec in cfg.attacks:
-        p = copy.deepcopy(spec.profile)
-        if spec.scale_with_level:
-            if p.scenario == VOLUMETRIC:
-                p.requests_per_bot_per_s *= factor
-            else:
-                p.base_session_rate *= factor
-            if cfg.level_rate_unit > 0:
-                p.offered_rate = cfg.level_rate_unit * cfg.attack_level
-        out.append(replace(spec, profile=p))
-    return out
-
-
 def generate_traffic(cfg: ScenarioConfig) -> dict[str, list[FlowRecord]]:
     """All run-phase flows, grouped by observing agent (matched on source
     address range, since agents monitor outgoing traffic).  Scheme-independent
@@ -214,7 +86,7 @@ def generate_traffic(cfg: ScenarioConfig) -> dict[str, list[FlowRecord]]:
                            src_base=a.addr_lo, dst_addr=0xC0A80000 + i)
         by_agent[a.agent_id].extend(flows)
     agent_by_id = {a.agent_id: a for a in cfg.agents}
-    for k, atk in enumerate(_leveled_attacks(cfg)):
+    for k, atk in enumerate(cfg.leveled_attacks()):
         host = agent_by_id[atk.agent_id]
         dur = cfg.duration - atk.start_time
         flows = gen_attack(atk.profile, dur,
@@ -255,21 +127,6 @@ def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
     return vectors, labels
 
 
-def _benign_rate(p: BenignProfile) -> float:
-    if p.category == "sensor":
-        return p.device_count / p.period
-    if p.category == "monitor":
-        return p.device_count * p.flows_per_minute / 60.0
-    return p.event_rate * p.burst_flows
-
-
-def _attack_rate(p: AttackProfile) -> float:
-    if p.scenario == VOLUMETRIC:
-        return 2.0 * p.bot_count * p.requests_per_bot_per_s
-    rate = p.base_session_rate * (p.multiplier if p.sub_mode == "session_flood" else 1.0)
-    return p.bot_count * rate
-
-
 def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
     """Pretraining samples for one agent: its own benign category mixed with
     the scenario's attack shapes, shuffled deterministically."""
@@ -289,18 +146,19 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
                           f"for {agent.agent_id}")
 
     vectors, labels = take(
-        n_ben, n_ben / _benign_rate(profile) * 1.3 + 60.0,
+        n_ben, pretrain_duration(n_ben, profile.flow_rate(), malicious=False),
         lambda dur: gen_benign(profile, dur,
                                seed=derive_seed(cfg.seed, "pretrain-b", agent.agent_id),
                                src_base=agent.addr_lo),
         "benign")
-    attacks = _leveled_attacks(cfg)
+    attacks = cfg.leveled_attacks()
     if attacks and n_mal:
         share = [n_mal // len(attacks)] * len(attacks)
         share[0] += n_mal - sum(share)
         for k, atk in enumerate(attacks):
             vecs, labs = take(
-                share[k], share[k] / _attack_rate(atk.profile) * 1.3 + 30.0,
+                share[k],
+                pretrain_duration(share[k], atk.profile.flow_rate(), malicious=True),
                 lambda dur: gen_attack(atk.profile, dur,
                                        seed=derive_seed(cfg.seed, "pretrain-m", agent.agent_id, k),
                                        src_base=agent.addr_lo + atk.src_offset + k * 1000),
@@ -386,9 +244,7 @@ def run(cfg: ScenarioConfig,
 
     central_map, maps = _filters(cfg, cache)
     # only mecshield arms filters on demand; the others count as always on
-    agent_cfg = cfg.agent_config()
-    agents = {a.agent_id: Agent(a.agent_id, {cfg.feature_mode: m},
-                                copy.deepcopy(agent_cfg), log=events,
+    agents = {a.agent_id: Agent(a.agent_id, {cfg.feature_mode: m}, cfg, log=events,
                                 filter_always_on=(cfg.scheme != SCHEME_MECSHIELD))
               for a, m in zip(cfg.agents, maps)}
 

@@ -103,6 +103,14 @@ class BenignProfile:
             if getattr(self, name) <= 0:
                 raise ValueError(f"benign profile {self.category}: {name} must be positive")
 
+    def flow_rate(self) -> float:
+        """Mean flows per second over all devices."""
+        if self.category == SENSOR:
+            return self.device_count / self.period
+        if self.category == MONITOR:
+            return self.device_count * self.flows_per_minute / 60.0
+        return self.event_rate * self.burst_flows
+
 
 def default_benign_profile(category: str) -> BenignProfile:
     if category == SENSOR:
@@ -153,6 +161,17 @@ class AttackProfile:
                 raise ValueError(f"unknown app-layer sub_mode {self.sub_mode!r}")
         else:
             raise ValueError(f"unknown attack scenario {self.scenario!r}")
+
+    def session_rate(self) -> float:
+        """Application-layer sessions per second per bot."""
+        return self.base_session_rate * (self.multiplier if self.sub_mode == "session_flood" else 1.0)
+
+    def flow_rate(self) -> float:
+        """Mean flows per second over all bots; a volumetric request and its
+        response are two."""
+        if self.scenario == VOLUMETRIC:
+            return 2.0 * self.bot_count * self.requests_per_bot_per_s
+        return self.bot_count * self.session_rate()
 
 
 def _packet_times(rng, start: float, dur: float, count: int) -> list[float]:
@@ -270,7 +289,7 @@ def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
 
 def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
                    t0: float) -> list[FlowRecord]:
-    rate = p.base_session_rate * (p.multiplier if p.sub_mode == "session_flood" else 1.0)
+    rate = p.session_rate()
     pkts = max(1, int(round(p.base_packets_per_flow *
                             (p.multiplier if p.sub_mode == "request_flood" else 1.0))))
     byte_w = p.bytes_per_packet * (p.multiplier if p.sub_mode == "asymmetric" else 1.0)

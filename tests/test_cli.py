@@ -84,30 +84,72 @@ def test_config_error_exit_code(tmp_path, capsys):
     path.write_text(yaml.safe_dump(doc))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o" / "metrics.csv").exists()
-    # a removed field, then values out of range or not finite
+    # removed fields, values out of range or not finite, values of the wrong
+    # type, and duplicate cells; the error names the last key of the path
     nan, inf = float("nan"), float("inf")
-    for section, name, value in [("scenario", "drop_packets_max", 3),
-                                 ("scenario", "policy_ttl", 0.0),
-                                 ("scenario", "base_level", 0.0),
-                                 ("scenario", "attack_level", -1.0),
-                                 ("scenario", "pretrain_samples", 0),
-                                 ("som", "width", 0), ("som", "height", 0),
-                                 (None, "attack_levels", [100, 0]),
-                                 (None, "attack_levels", [-300]),
-                                 ("scenario", "duration", nan),
-                                 ("scenario", "window_length", inf),
-                                 ("scenario", "link_delay", nan),
-                                 ("scenario", "analysis_delay", inf),
-                                 ("scenario", "base_level", inf),
-                                 ("scenario", "attack_level", nan),
-                                 (None, "attack_levels", [inf]),
-                                 (None, "attack_levels", [100, nan])]:
+    for where, value in [(("scenario", "drop_packets_max"), 3),
+                         (("scenario", "policy_ttl"), 0.0),
+                         (("scenario", "base_level"), 0.0),
+                         (("scenario", "attack_level"), -1.0),
+                         (("scenario", "pretrain_samples"), 0),
+                         (("som", "width"), 0), (("som", "height"), 0),
+                         (("attack_levels",), [100, 0]),
+                         (("attack_levels",), [-300]),
+                         (("scenario", "duration"), nan),
+                         (("scenario", "window_length"), inf),
+                         (("scenario", "link_delay"), nan),
+                         (("scenario", "analysis_delay"), inf),
+                         (("scenario", "base_level"), inf),
+                         (("scenario", "attack_level"), nan),
+                         (("attack_levels",), [inf]),
+                         (("attack_levels",), [100, nan]),
+                         (("scenario", "attacks", 0, "start_time"), "abc"),
+                         (("scenario", "agents", 0, "addr_lo"), "x"),
+                         (("seed",), "abc"),
+                         (("som", "width"), "wide"),
+                         (("scenario", "local_trigger_count"), "five"),
+                         (("scenario", "pretrain_samples"), 2.5),
+                         (("scenario", "quiet_period"), "long"),
+                         (("detection", "syn_flows_per_window"), "many"),
+                         (("scenario", "agents", 0), "sensor-net"),
+                         (("scenario", "attacks", 1, "scale_with_level"), "no"),
+                         (("scenario", "attacks", 1, "src_offset"), 1.7),
+                         (("schemes",), ["mecshield", "mecshield"]),
+                         (("attack_levels",), [100, 100.0])]:
         doc = tiny_config_doc()
-        (doc if section is None else doc[section])[name] = value
+        target = doc
+        for k in where[:-1]:
+            target = target[k]
+        target[where[-1]] = value
         path.write_text(yaml.safe_dump(doc))
         capsys.readouterr()
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert [k for k in where if isinstance(k, str)][-1] in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "attack", "{out}", "--bots", "0"], "--bots"),
+    (["gen", "attack", "{out}", "--sub-mode", "bogus"], "--sub-mode"),
+    (["gen", "attack", "{out}", "--scenario", "volumetric"], "--sub-mode"),
+    (["gen", "benign", "{out}", "--duration", "-1"], "--duration"),
+    (["gen", "benign", "{out}", "--duration", "nan"], "--duration"),
+    (["gen", "attack", "{out}", "--duration", "nan"], "--duration"),
+    (["gen", "attack", "{out}", "--duration", "inf"], "--duration"),
+    (["gen", "attack", "{out}", "--duration", "1e12"], "--duration"),
+    (["gen", "benign", "{out}", "--duration", "1e300"], "--duration"),
+    (["gen", "benign", "{out}", "--category", "bogus"], "--category"),
+    (["run", "--seed", "abc"], "--seed"),
+    (["run", "--scheme", "mecshield", "--scheme", "mecshield"], "--scheme"),
+])
+def test_bad_arguments_exit_1_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "flows.csv"
+    argv = [a.format(out=out) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_gen_train_eval_loop(tmp_path):

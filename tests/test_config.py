@@ -1,4 +1,7 @@
 """Config parsing tests: YAML schema, validation errors, round-trip."""
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,8 +44,10 @@ def test_unknown_fields_rejected_with_names():
     doc["scenario"]["agents"][0]["frobnicate"] = 1
     with pytest.raises(ConfigError, match="frobnicate"):
         parse_config(doc)
-    # removed fields that no mechanism read
-    for name in ("drop_packets_max", "drop_flows_min"):
+    # removed fields that no mechanism read, and fields a cell sets elsewhere
+    for name in ("drop_packets_max", "drop_flows_min", "seed", "som_width",
+                 "som_height", "feature_mode", "hyperparams", "norm_spec",
+                 "detection", "scheme", "attack_level"):
         doc = reference_config_dict()
         doc["scenario"][name] = 3
         with pytest.raises(ConfigError, match=name):
@@ -104,6 +109,29 @@ def test_load_config_yaml(tmp_path):
 def test_reference_yaml_matches_builtin_reference():
     path = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
     assert config_to_dict(load_config(path)) == config_to_dict(reference_config())
+
+
+def test_flow_cap_rejects_huge_levels():
+    # an unbounded level used to hang the generators: `t += 1/rate` stops
+    # advancing once 1/rate is below the float spacing near t
+    for section, name, value in [(None, "attack_levels", [100, 1e300]),
+                                 ("scenario", "base_level", 1e-300)]:
+        doc = reference_config_dict()
+        (doc if section is None else doc[section])[name] = value
+        with pytest.raises(ConfigError, match="MAX_FLOWS") as e:
+            parse_config(doc)
+        assert name in str(e.value)
+
+
+def test_config_does_not_import_harness():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", "import sys, mecshield.config; "
+                          "print(sorted(m for m in sys.modules if m.startswith('mecshield')))"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert "mecshield.harness" not in out.stdout
+    assert "mecshield.config" in out.stdout
 
 
 def test_scenario_for_is_isolated():

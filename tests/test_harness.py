@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mecshield import harness
-from mecshield.config import reference_config
+from mecshield.config import SCHEMES, reference_config
 from mecshield.controller import Controller
 from mecshield.errors import ConfigError
-from mecshield.harness import (SCHEMES, ScenarioConfig, build_training_set,
-                               compute_metrics, derive_seed, event_log_digest,
-                               generate_traffic, metrics_row, METRIC_COLUMNS,
-                               run, run_matrix)
+from mecshield.harness import (build_training_set, compute_metrics, derive_seed,
+                               event_log_digest, generate_traffic, metrics_row,
+                               METRIC_COLUMNS, run, run_matrix)
 from mecshield.traffic import LABEL_MALICIOUS
 
 # a NaN or an overflow in the simulation fails the test that meets it
