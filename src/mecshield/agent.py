@@ -121,8 +121,9 @@ class Agent:
         work = 0
         malicious_in_window = 0
         som = self.som
-        # training moves weights but never relabels, so this is fixed for the window
+        # training moves weights but never relabels, so these are fixed for the window
         labeled = som.is_labeled
+        labels = som.labels.tolist()
         for flow in flows:
             self.flows_processed += 1
             vec = extract_one(flow, self.feature_mode, cfg.norm_spec, stats)
@@ -133,7 +134,7 @@ class Agent:
             # one winner search serves both the verdict and the training step
             win = som.find_winner(vec)
             if self.mode == PROTECTION and labeled:
-                predicted = str(som.labels[win])
+                predicted = labels[win]
                 work += 1
                 if predicted == MALICIOUS:
                     self.last_malicious_seen = now
@@ -149,7 +150,7 @@ class Agent:
             # continuous training in both modes, labeled by the map's own verdict
             train_label = predicted
             if train_label is None and labeled:
-                train_label = str(som.labels[win])
+                train_label = labels[win]
             som.train_step(vec, cfg.hyperparams, label=train_label, winner=win)
             work += 1
             if self.mode == NORMAL and train_label == MALICIOUS:

@@ -91,26 +91,21 @@ def cmd_run(args) -> int:
     rc = _load_or_default_config(args)
     out_dir = Path(rc.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    outputs = [out_dir / name for name in ("events.jsonl", "metrics.csv", "summary.json")]
+    events_path, metrics_path, summary_path = outputs
+    # opening the log truncates an earlier run's, so from here on a failure
+    # removes all three outputs: none is partial or describes a missing log
+    events = open(events_path, "w")
     try:
-        rows, logs = run_matrix(rc.scenario, rc.schemes, rc.attack_levels)
+        # run_matrix writes each cell's events as the cell finishes
+        with events:
+            rows = run_matrix(rc.scenario, rc.schemes, rc.attack_levels, out=events)[0]
 
-        metrics_path = out_dir / "metrics.csv"
         with open(metrics_path, "w") as f:
             f.write(",".join(METRIC_COLUMNS) + "\n")
             for row in rows:
                 f.write(",".join(_fmt(row[c]) for c in METRIC_COLUMNS) + "\n")
-        written.append(metrics_path)
 
-        events_path = out_dir / "events.jsonl"
-        with open(events_path, "w") as f:
-            for scheme in rc.schemes:
-                for level in rc.attack_levels:
-                    for e in logs[(scheme, float(level))]:
-                        f.write(json.dumps(e, sort_keys=True) + "\n")
-        written.append(events_path)
-
-        summary_path = out_dir / "summary.json"
         with open(summary_path, "w") as f:
             json.dump({
                 "config": config_to_dict(rc),
@@ -122,9 +117,8 @@ def cmd_run(args) -> int:
                 },
             }, f, sort_keys=True, indent=1)
             f.write("\n")
-        written.append(summary_path)
     except Exception:
-        for p in written:
+        for p in outputs:
             p.unlink(missing_ok=True)
         raise
     print(f"wrote {len(rows)} metric rows to {out_dir}/metrics.csv")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 import typing
 from dataclasses import dataclass, field, replace
@@ -26,8 +27,8 @@ SCHEME_DISTRIBUTED = "distributed"
 SCHEME_CENTRALIZED = "centralized"
 SCHEMES = (SCHEME_MECSHIELD, SCHEME_DISTRIBUTED, SCHEME_CENTRALIZED)
 
-# The most attack flows one cell (run and pretraining) or flows one `gen` call
-# may generate; the largest benchmark cell counts about 43,000.  Beyond it a
+# The most flows one cell (run and pretraining) or one `gen` call may
+# generate; the largest benchmark cell counts about 43,000.  Beyond it a
 # run takes hours or exhausts memory, and once 1/rate is below the spacing of
 # floats near t, a generator's `t += 1/rate` never ends.
 MAX_FLOWS = 10_000_000
@@ -139,20 +140,35 @@ class ScenarioConfig(AgentConfig):
                 raise ConfigError(f"attack references unknown agent {atk.agent_id!r}")
             if not (0.0 <= atk.start_time < self.duration):
                 raise ConfigError("attack start_time must lie within the run")
-        # the leveled attacks' flows in the run and every agent's first
-        # pretraining pass, each attack counted with all malicious samples
+        # the flows in the run and every agent's first pretraining pass: each
+        # leveled attack counted with all malicious samples for every agent,
+        # each agent's benign traffic with its own benign samples
         n_mal = int(self.pretrain_samples * self.pretrain_malicious_fraction)
-        flows = 0.0
+        attack_flows = 0.0
         for k, atk in enumerate(self.leveled_attacks()):
             rate = atk.profile.flow_rate()
             if not rate > 0:
                 raise ConfigError(f"scenario.attacks[{k}]: flow rate {rate!r} is not positive")
-            flows += rate * (self.duration - atk.start_time + len(self.agents)
-                             * pretrain_duration(n_mal, rate, malicious=True))
+            attack_flows += rate * (self.duration - atk.start_time + len(self.agents)
+                                    * pretrain_duration(n_mal, rate, malicious=True))
+        benign_flows = []
+        for i, a in enumerate(self.agents):
+            rate = a.benign_profile().flow_rate()
+            if not rate > 0:
+                raise ConfigError(f"scenario.agents[{i}].profile: benign flow rate {rate!r} "
+                                  f"is not positive")
+            benign_flows.append(rate * (self.duration + pretrain_duration(
+                self.pretrain_samples - n_mal, rate, malicious=False)))
+        flows = attack_flows + sum(benign_flows)
         if not flows <= MAX_FLOWS:
-            raise ConfigError(f"attack_levels: at attack_level {self.attack_level!r} and "
-                              f"base_level {self.base_level!r} the cell would generate about "
-                              f"{flows:.3g} flows, more than MAX_FLOWS = {MAX_FLOWS}")
+            i = max(range(len(benign_flows)), key=benign_flows.__getitem__)
+            cause = ("attack_levels" if attack_flows >= benign_flows[i]
+                     else f"scenario.agents[{i}].profile")
+            raise ConfigError(
+                f"{cause}: the cell would generate about {flows:.3g} flows, more than "
+                f"MAX_FLOWS = {MAX_FLOWS}: {attack_flows:.3g} from its attacks at "
+                f"attack_level {self.attack_level!r} and base_level {self.base_level!r}, "
+                f"{sum(benign_flows):.3g} from its agents' benign traffic")
 
     def for_cell(self, scheme: str, level: float,
                  seed: int | None = None) -> "ScenarioConfig":
@@ -202,12 +218,18 @@ def _fields(cls) -> list:
             if f.metadata.get("key", ()) is not None]
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """The declared field types of `cls`, evaluated once per class (only read)."""
+    return typing.get_type_hints(cls)
+
+
 def _build(cls, data, where: str, **given):
     """`cls` from the document mapping `data`.  Unknown keys, missing fields
     and values not of the declared type are rejected by their place."""
     kwargs = dict(given)
     _read(data, [(f, p) for f, p in _fields(cls) if f.name not in given],
-          typing.get_type_hints(cls), where, kwargs)
+          _type_hints(cls), where, kwargs)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:

@@ -213,6 +213,10 @@ def _filters(cfg: ScenarioConfig, cache: dict | None):
 
 # -- the event loop --------------------------------------------------------
 
+# the `cache` entry in which `run` leaves the last cell's canonical lines
+_LINES = "lines"
+
+
 def run(cfg: ScenarioConfig,
         cache: dict | None = None) -> tuple[RunMetrics, list[dict]]:
     """Simulate one (scheme, level, seed) cell; returns metrics and the full
@@ -220,7 +224,10 @@ def run(cfg: ScenarioConfig,
 
     `cache` keeps pretraining across cells that differ only in scheme, level
     and seed (the copies `ScenarioConfig.for_cell` makes of one config); it
-    never changes the log."""
+    never changes the log.  The log is sorted on each event's canonical line,
+    `json.dumps(e, sort_keys=True)`, built here once per event; with a
+    `cache`, run also leaves the cell's lines, in log order, in
+    `cache[_LINES]` for `run_matrix` to hash and write."""
     cfg.validate()
     events: list[dict] = []
     flows_by_agent = generate_traffic(cfg)
@@ -332,20 +339,20 @@ def run(cfg: ScenarioConfig,
                    "work_by_window": {str(k): v for k, v in sorted(ctrl_work_by_window.items())},
                    "agent_work_by_window": {str(k): v for k, v in sorted(agent_work_by_window.items())},
                    "warnings": list(controller.warnings)})
-    events.sort(key=lambda e: (e["t"], _event_rank(e), json.dumps(e, sort_keys=True)))
+    # the index keeps equal keys in log order, as a stable sort would, so
+    # the sort never compares two events
+    keyed = sorted((e["t"], _EVENT_RANK.get(e["kind"], len(_EVENT_RANK)),
+                    json.dumps(e, sort_keys=True), i) for i, e in enumerate(events))
+    events = [events[k[3]] for k in keyed]
+    if cache is not None:
+        cache[_LINES] = [k[2] for k in keyed]
+    del keyed
     return compute_metrics(events), events
 
 
-_EVENT_ORDER = ["run_info", "first_malicious_arrival", "mode", "policy_applied",
-                "policy", "attack_detected", "classify", "filters",
-                "agent_summary", "controller_summary"]
-
-
-def _event_rank(e: dict) -> int:
-    try:
-        return _EVENT_ORDER.index(e["kind"])
-    except ValueError:
-        return len(_EVENT_ORDER)
+_EVENT_RANK = {kind: i for i, kind in enumerate(
+    ["run_info", "first_malicious_arrival", "mode", "policy_applied", "policy",
+     "attack_detected", "classify", "filters", "agent_summary", "controller_summary"])}
 
 
 # -- metrics ---------------------------------------------------------------
@@ -423,12 +430,19 @@ def compute_metrics(events: list[dict]) -> RunMetrics:
     )
 
 
-def event_log_digest(events: list[dict]) -> str:
+def _lines_digest(lines) -> str:
     h = hashlib.sha256()
-    for e in events:
-        h.update(json.dumps(e, sort_keys=True).encode())
+    for line in lines:
+        h.update(line.encode())
         h.update(b"\n")
     return h.hexdigest()
+
+
+def event_log_digest(events: list[dict]) -> str:
+    """SHA-256 of the log's events.jsonl lines.  It serializes every event
+    itself, so it checks a log independently of the lines `run` built and
+    `run_matrix` hashed."""
+    return _lines_digest(json.dumps(e, sort_keys=True) for e in events)
 
 
 METRIC_COLUMNS = ["scheme", "attack_level", "seed", "reaction_time",
@@ -445,10 +459,15 @@ def metrics_row(m: RunMetrics, digest: str) -> dict:
 
 
 def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
-               attack_levels: list[float]):
+               attack_levels: list[float], out=None):
     """Cross product of (scheme, level) runs; traffic seeds are shared within a
     level so every scheme faces identical flows, and pretraining is done once
     per level.
+
+    Each cell's digest hashes the canonical lines `run` built for its sort.
+    With an open text stream `out`, those lines are written to it as each
+    cell finishes (scheme by level, one line per event: events.jsonl), and
+    dropped before the next cell starts.
 
     Returns (rows, per-cell event logs keyed by (scheme, level)).
     """
@@ -460,6 +479,11 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
     for scheme in schemes:
         for level in attack_levels:
             metrics, events = run(base_cfg.for_cell(scheme, level), cache=cache)
-            rows.append(metrics_row(metrics, event_log_digest(events)))
+            lines = cache.pop(_LINES)
+            if out is not None:
+                for line in lines:
+                    out.write(line + "\n")
+            rows.append(metrics_row(metrics, _lines_digest(lines)))
             logs[(scheme, float(level))] = events
+            del lines
     return rows, logs

@@ -134,18 +134,24 @@ class SomMap:
         alpha = hp.learning_rate(self.epoch)
         sigma = hp.radius(self.epoch)
         win = self.find_winner(v) if winner is None else winner
-        d2_grid = _lattice_sq_dists(self.width, self.height)[win]
         s2 = sigma * sigma
-        mask = d2_grid <= s2
-        # once s2 underflows to 0 the mask holds the winner alone, at the
-        # Gaussian's limit weight 1 (exp(-0/0) would be NaN)
-        h = np.exp(-d2_grid[mask] / (2.0 * sigma * sigma)) if s2 > 0.0 else np.ones(1)
-        moved = self.weights[mask]
-        moved += alpha * h[:, None] * (v - moved)
-        # convex move; the clip only guards against ulp-level overshoot at
-        # 0/1, and the rows that did not move already lie in [0,1]
-        np.clip(moved, 0.0, 1.0, out=moved)
-        self.weights[mask] = moved
+        # convex moves; the clips only guard against ulp-level overshoot at
+        # 0/1, and the rows that do not move already lie in [0,1]
+        if s2 < 1.0:
+            # lattice distances are whole numbers, so the neighborhood is the
+            # winner alone, at weight exp(-0) = 1 (also once s2 underflows to
+            # 0, where exp(-0/0) would be NaN): the same bits as the mask path
+            row = self.weights[win]         # a view: updates the map in place
+            row += alpha * (v - row)
+            np.clip(row, 0.0, 1.0, out=row)
+        else:
+            d2_grid = _lattice_sq_dists(self.width, self.height)[win]
+            mask = d2_grid <= s2
+            h = np.exp(-d2_grid[mask] / (2.0 * sigma * sigma))
+            moved = self.weights[mask]
+            moved += alpha * h[:, None] * (v - moved)
+            np.clip(moved, 0.0, 1.0, out=moved)
+            self.weights[mask] = moved
         self.hit_counts[win] += 1
         if label == BENIGN:
             self.benign_wins[win] += 1
@@ -198,8 +204,8 @@ class SomMap:
             return []
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"batch has shape {vectors.shape}, map dimension is {self.dim}")
-        winners = _sq_dists(vectors, self.weights).argmin(axis=1)
-        return [str(self.labels[j]) for j in winners]
+        labels = self.labels.tolist()
+        return [labels[j] for j in _sq_dists(vectors, self.weights).argmin(axis=1).tolist()]
 
     # -- serialization -----------------------------------------------------
 

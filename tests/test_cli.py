@@ -5,9 +5,10 @@ import json
 import pytest
 import yaml
 
+from mecshield import cli, harness
 from mecshield.cli import main
 from mecshield.config import parse_config, reference_config_dict
-from mecshield.harness import METRIC_COLUMNS
+from mecshield.harness import METRIC_COLUMNS, event_log_digest
 from mecshield.som import BENIGN, MALICIOUS, SomHyperParams, SomMap, init_map
 
 
@@ -69,6 +70,58 @@ def test_run_seed_override_changes_results(tmp_path):
         digests.append(json.loads((out / "summary.json").read_text())
                        ["digests"]["events_jsonl"])
     assert digests[0] != digests[1]
+
+
+def _two_by_two_config(tmp_path):
+    doc = tiny_config_doc()
+    doc["schemes"] = ["distributed", "mecshield"]
+    doc["attack_levels"] = [300, 100]
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def test_events_file_is_each_cells_log_in_order(tmp_path, monkeypatch):
+    captured = {}
+    run_matrix = cli.run_matrix
+
+    def capture(*args, **kwargs):
+        captured["rows"], captured["logs"] = run_matrix(*args, **kwargs)
+        return captured["rows"], captured["logs"]
+
+    monkeypatch.setattr(cli, "run_matrix", capture)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_two_by_two_config(tmp_path)),
+                 "--out", str(out)]) == 0
+    cells = [(s, lv) for s in ("distributed", "mecshield") for lv in (300.0, 100.0)]
+    assert [(r["scheme"], r["attack_level"]) for r in captured["rows"]] == cells
+    expected = "".join(json.dumps(e, sort_keys=True) + "\n"
+                       for cell in cells for e in captured["logs"][cell])
+    assert (out / "events.jsonl").read_text() == expected
+    for row, cell in zip(captured["rows"], cells):
+        assert row["event_digest"] == event_log_digest(captured["logs"][cell])
+
+
+def test_failed_run_leaves_no_partial_or_stale_outputs(tmp_path, monkeypatch, capsys):
+    config, out = _two_by_two_config(tmp_path), tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    run = harness.run
+    calls = []
+
+    def fail_second_cell(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("cell failed")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", fail_second_cell)
+    capsys.readouterr()
+    # the rerun truncates the earlier events.jsonl, so the earlier
+    # metrics.csv and summary.json must go too
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 3
+    assert "cell failed" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_scheme_filter_must_be_configured(tmp_path):

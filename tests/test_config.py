@@ -123,6 +123,19 @@ def test_flow_cap_rejects_huge_levels():
         assert name in str(e.value)
 
 
+@pytest.mark.parametrize("agent, name, value, match", [
+    (2, "event_rate", 1.0e300, "MAX_FLOWS"),        # used to hang gen_benign
+    (0, "period", 1.0e-300, "MAX_FLOWS"),
+    (1, "flows_per_minute", 1.0e-323, "not positive"),
+])
+def test_flow_cap_counts_benign_traffic(agent, name, value, match):
+    doc = reference_config_dict()
+    doc["scenario"]["agents"][agent]["profile"][name] = value
+    with pytest.raises(ConfigError, match=match) as e:
+        parse_config(doc)
+    assert f"scenario.agents[{agent}].profile" in str(e.value)
+
+
 def test_config_does_not_import_harness():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

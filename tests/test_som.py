@@ -458,13 +458,15 @@ def test_merge_of_one_map_reproduces_it(m):
 
 
 def _train_step_clipping_every_row(m, v, hp, label, winner):
-    """Reference update: the same convex move, then a clip of the whole
-    weight matrix rather than of the moved rows only."""
+    """Reference update: the same convex move over the whole Gaussian
+    neighborhood, at every radius, then a clip of the whole weight matrix
+    rather than of the moved rows only.  Once sigma^2 underflows to 0 the
+    neighborhood is the winner alone, at the Gaussian's limit weight 1."""
     alpha, sigma = hp.learning_rate(m.epoch), hp.radius(m.epoch)
     rows, cols = np.divmod(np.arange(m.neuron_count), m.width)
     d2 = (rows - rows[winner]) ** 2 + (cols - cols[winner]) ** 2
     mask = d2 <= sigma * sigma
-    h = np.exp(-d2[mask] / (2.0 * sigma * sigma))
+    h = np.exp(-d2[mask] / (2.0 * sigma * sigma)) if sigma * sigma > 0 else np.ones(1)
     w = m.weights.copy()
     w[mask] += alpha * h[:, None] * (v - w[mask])
     np.clip(w, 0.0, 1.0, out=w)
@@ -487,3 +489,48 @@ def test_train_step_matches_whole_matrix_clip(m, data):
         expected = _train_step_clipping_every_row(m, v, hp, label, win)
         assert m.train_step(v, hp, label=label) == win
         assert m.weights.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(trained_maps(), st.data())
+def test_train_step_matches_neighborhood_reference_at_every_radius(m, data):
+    # below sigma^2 = 1 only the winner moves; train_step updates that row
+    # alone and must give the reference's bits, tallies and epoch
+    hp = SomHyperParams(initial_learning_rate=data.draw(st.floats(1e-3, 1.0)),
+                        initial_radius=data.draw(st.floats(0.1, 8.0)),
+                        lr_decay_constant=data.draw(st.floats(100.0, 1e4)),
+                        radius_decay_constant=data.draw(st.floats(100.0, 1e4)))
+    c, log_r = hp.radius_decay_constant, math.log(hp.initial_radius)
+    at_one = max(0, int(c * log_r))                 # sigma^2 crosses 1 here
+    underflow = int(c * (log_r + 373.0)) + 1        # sigma^2 is 0 from here on
+    m.epoch = data.draw(st.one_of(st.integers(0, at_one + 5),
+                                  st.integers(max(0, at_one - 3), at_one + 3),
+                                  st.integers(at_one, underflow),
+                                  st.integers(underflow, underflow + 10**6)))
+    unit = st.floats(0.0, 1.0)
+    for _ in range(data.draw(st.integers(1, 5))):
+        v = np.array(data.draw(st.lists(unit, min_size=m.dim, max_size=m.dim)))
+        label = data.draw(st.sampled_from([None, BENIGN, MALICIOUS]))
+        win = m.find_winner(v)
+        expected = _train_step_clipping_every_row(m, v, hp, label, win)
+        tallies = [a.copy() for a in (m.hit_counts, m.benign_wins, m.malicious_wins)]
+        tallies[0][win] += 1
+        if label is not None:
+            tallies[1 if label == BENIGN else 2][win] += 1
+        epoch = m.epoch
+        assert m.train_step(v, hp, label=label) == win
+        assert m.weights.tobytes() == expected.tobytes()
+        for got, want in zip((m.hit_counts, m.benign_wins, m.malicious_wins), tallies):
+            assert got.tobytes() == want.tobytes()
+        assert m.epoch == epoch + 1
+
+
+@pytest.mark.parametrize("epoch", [0, 10**5, 10**7])
+def test_train_step_rejects_wrong_shape_at_every_radius(epoch):
+    m = init_map(4, 4, 3, seed=0)
+    m.epoch = epoch
+    before = m.weights.copy()
+    for bad in ([0.5, 0.5], [[0.5, 0.5, 0.5]], [0.5] * 4):
+        with pytest.raises(ValueError, match="shape"):
+            m.train_step(bad, SomHyperParams(), winner=0)
+    assert m.weights.tobytes() == before.tobytes() and m.epoch == epoch
