@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .features import (FeatureMode, MODE_DIM, NormalizationSpec, WindowStats,
-                       extract_one, window_stats)
-from .som import MALICIOUS, SomHyperParams, SomMap, init_map
+from .features import (FeatureMode, NormalizationSpec, WindowStats, extract_one,
+                       window_stats)
+from .som import MALICIOUS, SomHyperParams, SomMap
 from .traffic import FlowRecord
 
 NORMAL = "normal"
@@ -65,15 +65,14 @@ class AgentConfig:
 class Agent:
     """One sequential edge-agent state machine; no shared state across agents."""
 
-    def __init__(self, agent_id: str, soms: dict[FeatureMode, SomMap],
+    def __init__(self, agent_id: str, som: SomMap | None,
                  config: AgentConfig | None = None, log: list | None = None,
                  filter_always_on: bool = False):
+        """`som` is the agent's one filter, trained in `ingest`; None for an
+        agent that only observes (the centralized scheme's)."""
         self.agent_id = agent_id
         self.config = config or AgentConfig()
-        self.soms = dict(soms)
-        self.feature_mode = self.config.feature_mode
-        if self.feature_mode not in self.soms:
-            raise ValueError(f"agent {agent_id}: no SOM for mode {self.feature_mode.value}")
+        self.som = som
         self.mode = PROTECTION if filter_always_on else NORMAL
         self.filter_always_on = filter_always_on
         self.active_policy = None
@@ -88,10 +87,6 @@ class Agent:
         self._window_flows: list[FlowRecord] = []
         self._window_stats: WindowStats | None = None
 
-    @property
-    def som(self) -> SomMap:
-        return self.soms[self.feature_mode]
-
     def _log(self, t: float, kind: str, **fields) -> None:
         self.log.append({"t": t, "agent": self.agent_id, "kind": kind, **fields})
 
@@ -102,6 +97,16 @@ class Agent:
 
     def _policy_active(self, now: float) -> bool:
         return self.active_policy is not None and self.active_policy.expires_at > now
+
+    def _intake(self, flows: list[FlowRecord], now: float) -> WindowStats:
+        """Count one window's flows and keep them, with their statistics,
+        for the report."""
+        cfg = self.config
+        stats = window_stats(flows, now - cfg.window_length, cfg.window_length)
+        self._window_flows = list(flows)
+        self._window_stats = stats
+        self.flows_processed += len(flows)
+        return stats
 
     # -- main ingest path --------------------------------------------------
 
@@ -114,9 +119,7 @@ class Agent:
         (vectors classified + vectors trained).
         """
         cfg = self.config
-        stats = window_stats(flows, now - cfg.window_length, cfg.window_length)
-        self._window_flows = list(flows)
-        self._window_stats = stats
+        stats = self._intake(flows, now)
         verdicts: list[Verdict] = []
         work = 0
         malicious_in_window = 0
@@ -125,35 +128,27 @@ class Agent:
         labeled = som.is_labeled
         labels = som.labels.tolist()
         for flow in flows:
-            self.flows_processed += 1
-            vec = extract_one(flow, self.feature_mode, cfg.norm_spec, stats)
             if self.mode == PROTECTION and flow.src_addr in self.blocked_sources:
                 verdicts.append(Verdict(flow.flow_id, BLOCK, now, R_POLICY_BLOCK))
                 self.flows_blocked += 1
                 continue
-            # one winner search serves both the verdict and the training step
+            vec = extract_one(flow, cfg.feature_mode, cfg.norm_spec, stats)
+            # one winner search serves the verdict and the training step, which
+            # is labeled by the map's own verdict
             win = som.find_winner(vec)
+            predicted = labels[win] if labeled else None
             if self.mode == PROTECTION and labeled:
-                predicted = labels[win]
                 work += 1
                 if predicted == MALICIOUS:
                     self.last_malicious_seen = now
-                    verdicts.append(self._mitigate(flow, now, predicted))
-                else:
-                    verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN,
-                                            classified=True, predicted=predicted))
-                    self.flows_forwarded += 1
+                verdicts.append(self._decide(flow, now, predicted))
             else:
                 verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN))
                 self.flows_forwarded += 1
-                predicted = None
-            # continuous training in both modes, labeled by the map's own verdict
-            train_label = predicted
-            if train_label is None and labeled:
-                train_label = labels[win]
-            som.train_step(vec, cfg.hyperparams, label=train_label, winner=win)
+            # continuous training in both modes
+            som.train_step(vec, cfg.hyperparams, label=predicted, winner=win)
             work += 1
-            if self.mode == NORMAL and train_label == MALICIOUS:
+            if self.mode == NORMAL and predicted == MALICIOUS:
                 malicious_in_window += 1
                 if malicious_in_window >= cfg.local_trigger_count:
                     self.last_malicious_seen = now
@@ -161,48 +156,39 @@ class Agent:
         self.work_units += work
         return verdicts, work
 
-    def _mitigate(self, flow: FlowRecord, now: float, predicted: str) -> Verdict:
-        cfg = self.config
-        policy = self.active_policy if self._policy_active(now) else None
-        decision, reason = DROP, R_SOM_MALICIOUS
-        if policy is not None:
-            if flow.packet_count >= cfg.block_packets_min or policy.mitigation == BLOCK:
-                decision, reason = BLOCK, R_POLICY_BLOCK
-                self.blocked_sources.add(flow.src_addr)
-            else:
-                decision, reason = DROP, R_POLICY_DROP
-        if decision == BLOCK:
-            self.flows_blocked += 1
-        else:
+    def _decide(self, flow: FlowRecord, now: float, predicted: str) -> Verdict:
+        """The verdict on one classified flow: forward unless the map calls it
+        malicious; then drop, or block its source under a policy that blocks
+        or for a heavy flow.  Counts the verdict."""
+        decision, reason = FORWARD, R_BENIGN
+        if predicted == MALICIOUS:
+            decision, reason = DROP, R_SOM_MALICIOUS
+            if self._policy_active(now):
+                if (flow.packet_count >= self.config.block_packets_min
+                        or self.active_policy.mitigation == BLOCK):
+                    decision, reason = BLOCK, R_POLICY_BLOCK
+                    self.blocked_sources.add(flow.src_addr)
+                else:
+                    decision, reason = DROP, R_POLICY_DROP
+        if decision == FORWARD:
+            self.flows_forwarded += 1
+        elif decision == DROP:
             self.flows_dropped += 1
+        else:
+            self.flows_blocked += 1
         return Verdict(flow.flow_id, decision, now, reason,
                        classified=True, predicted=predicted)
 
     def enforce(self, flows: list[FlowRecord], labels: list[str],
                 now: float) -> list[Verdict]:
         """Apply the labels a remote map returned for observed flows
-        (centralized scheme): drop malicious flows, forward the rest."""
-        verdicts = []
-        for flow, label in zip(flows, labels):
-            if label == MALICIOUS:
-                verdicts.append(Verdict(flow.flow_id, DROP, now, R_SOM_MALICIOUS,
-                                        classified=True, predicted=label))
-                self.flows_dropped += 1
-            else:
-                verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN,
-                                        classified=True, predicted=label))
-                self.flows_forwarded += 1
-        return verdicts
+        (centralized scheme)."""
+        return [self._decide(flow, now, label) for flow, label in zip(flows, labels)]
 
     def observe(self, flows: list[FlowRecord], now: float) -> WindowStats:
         """Record a window for reporting without filtering or training
         (centralized scheme: the traffic is forwarded wholesale)."""
-        stats = window_stats(flows, now - self.config.window_length,
-                             self.config.window_length)
-        self._window_flows = list(flows)
-        self._window_stats = stats
-        self.flows_processed += len(flows)
-        return stats
+        return self._intake(flows, now)
 
     # -- reporting / control -----------------------------------------------
 
@@ -226,22 +212,17 @@ class Agent:
                              window_length=stats.window_length, per_destination=per_dst)
 
     def apply_policy(self, policy, now: float) -> None:
-        """Install a controller directive: switch the feature tuple, arm the
-        mitigation table, and activate protection."""
-        if self.agent_id not in policy.addressed_agents:
-            raise ValueError(
-                f"policy {policy.policy_id} is addressed to {policy.addressed_agents}, "
-                f"not agent {self.agent_id}")
-        mode = policy.required_features
-        if mode not in self.soms:
-            hp = self.config.hyperparams
-            self.soms[mode] = init_map(self.som.width, self.som.height,
-                                       MODE_DIM[mode], hp.rng_seed)
-        self.feature_mode = mode
+        """Install a controller directive: arm the mitigation table and
+        activate protection, filtering with the agent's own map whatever the
+        policy's role."""
+        if policy.agent_id != self.agent_id:
+            raise ValueError(f"policy {policy.policy_id} is addressed to "
+                             f"{policy.agent_id}, not agent {self.agent_id}")
         self.active_policy = policy
         self._enter_protection(now, "policy")
         self._log(now, "policy_applied", policy_id=policy.policy_id,
-                  mitigation=policy.mitigation, features=mode.value)
+                  mitigation=policy.mitigation,
+                  features=self.config.feature_mode.value)
 
     def tick(self, now: float) -> None:
         """Deactivate protection after a quiet period with no malicious vectors

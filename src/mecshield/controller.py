@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .features import FeatureMode
 from .agent import DestinationStats, TrafficReport
 
 METHOD_SMURF_FRAGGLE = "smurf_fraggle"
@@ -34,19 +33,14 @@ class Policy:
     target_addrs: list
     attack_method: str
     role: str                        # source | destination
-    required_features: FeatureMode   # source role -> 5-tuple, destination -> 3-tuple
     mitigation: str
     issued_at: float
     expires_at: float
-    addressed_agents: list
+    agent_id: str                    # the one agent the policy addresses
 
     def __post_init__(self):
         if self.expires_at <= self.issued_at:
             raise ValueError("policy must expire after it is issued")
-        want = (FeatureMode.SOURCE_SITE if self.role == ROLE_SOURCE
-                else FeatureMode.DESTINATION_SITE)
-        if self.required_features != want:
-            raise ValueError(f"role {self.role} requires feature mode {want.value}")
 
 
 @dataclass
@@ -219,21 +213,18 @@ class Controller:
         mitigation = _METHOD_MITIGATION[assessment.method]
         policies: list[Policy] = []
 
-        def new_policy(role, agents, targets):
+        def new_policy(role, agent_id, targets):
             self._policy_seq += 1
-            mode = (FeatureMode.SOURCE_SITE if role == ROLE_SOURCE
-                    else FeatureMode.DESTINATION_SITE)
             return Policy(policy_id=f"pol-{self._policy_seq}", target_addrs=targets,
                           attack_method=assessment.method, role=role,
-                          required_features=mode, mitigation=mitigation,
-                          issued_at=now, expires_at=now + self.policy_ttl,
-                          addressed_agents=agents)
+                          mitigation=mitigation, issued_at=now,
+                          expires_at=now + self.policy_ttl, agent_id=agent_id)
 
         dest_agents: set[str] = set()
         for victim in assessment.victim_addrs:
             dest_agents.update(self._owners(victim, victim))
         for agent_id in sorted(dest_agents):
-            policies.append(new_policy(ROLE_DESTINATION, [agent_id],
+            policies.append(new_policy(ROLE_DESTINATION, agent_id,
                                        assessment.victim_addrs))
         src_agents: set[str] = set()
         uncovered = []
@@ -244,7 +235,7 @@ class Controller:
             else:
                 uncovered.append((lo, hi))
         for agent_id in sorted(src_agents):
-            policies.append(new_policy(ROLE_SOURCE, [agent_id],
+            policies.append(new_policy(ROLE_SOURCE, agent_id,
                                        assessment.victim_addrs))
         if uncovered:
             self.warnings.append(
@@ -256,13 +247,12 @@ class Controller:
         for the same attack method."""
         fresh = []
         for p in self.make_policies(assessment, now):
-            agent = p.addressed_agents[0]
-            key = (agent, p.attack_method)
+            key = (p.agent_id, p.attack_method)
             if self._dispatched.get(key, -1.0) > now:
                 continue
             self._dispatched[key] = p.expires_at
             fresh.append(p)
             self.log.append({"t": now, "kind": "policy", "policy_id": p.policy_id,
-                             "agent": agent, "role": p.role,
+                             "agent": p.agent_id, "role": p.role,
                              "method": p.attack_method, "mitigation": p.mitigation})
         return fresh

@@ -54,7 +54,6 @@ class RunMetrics:
     attack_level: float
     seed: int
     reaction_time: float | None
-    reaction_by_agent: dict
     detection_rate: float | None
     accuracy: float | None
     tp: int
@@ -63,7 +62,6 @@ class RunMetrics:
     fn: int
     controller_work_by_window: dict      # window index -> work units
     controller_work_attack_mean: float | None
-    agent_work_by_window: dict
     active_filters_by_window: dict
     active_filter_integral: float
     flows_presented: int
@@ -185,10 +183,10 @@ def _filters(cfg: ScenarioConfig, cache: dict | None):
 
     mecshield and distributed train one local map per agent (distributed then
     merges them); centralized pools every agent's samples into one map at the
-    controller and leaves the agents a placeholder.  Pretraining reads only
-    the seed and the level of what `for_cell` varies, so it is kept in
-    `cache` under that key.  Every cell gets copies, because agents and the
-    controller keep training their maps online."""
+    controller, and its agents, which only observe, get none.  Pretraining
+    reads only the seed and the level of what `for_cell` varies, so it is
+    kept in `cache` under that key.  Every cell gets copies, because agents
+    and the controller keep training their maps online."""
     entry = {} if cache is None else cache.setdefault((cfg.seed, cfg.attack_level), {})
     if "training" not in entry:
         entry["training"] = [build_training_set(cfg, a) for a in cfg.agents]
@@ -200,9 +198,7 @@ def _filters(cfg: ScenarioConfig, cache: dict | None):
             order = np.random.default_rng(derive_seed(cfg.seed, "pool")).permutation(len(vecs))
             entry["central"] = _train_map(cfg, [vecs[i] for i in order],
                                           [labs[i] for i in order])
-        maps = [init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode], 0)
-                for _ in cfg.agents]
-        return entry["central"].copy(), maps
+        return entry["central"].copy(), [None] * len(cfg.agents)
     if "local" not in entry:
         entry["local"] = [_train_map(cfg, *t) for t in training]
     if cfg.scheme == SCHEME_DISTRIBUTED:
@@ -251,7 +247,7 @@ def run(cfg: ScenarioConfig,
 
     central_map, maps = _filters(cfg, cache)
     # only mecshield arms filters on demand; the others count as always on
-    agents = {a.agent_id: Agent(a.agent_id, {cfg.feature_mode: m}, cfg, log=events,
+    agents = {a.agent_id: Agent(a.agent_id, m, cfg, log=events,
                                 filter_always_on=(cfg.scheme != SCHEME_MECSHIELD))
               for a, m in zip(cfg.agents, maps)}
 
@@ -278,12 +274,12 @@ def run(cfg: ScenarioConfig,
                     "truth": f.truth_label})
 
     link, analysis = cfg.link_delay, cfg.analysis_delay
-    in_flight: list = []    # (arrival, agent id, policy), sorted: analyses end in window order
+    in_flight: list = []    # (arrival, policy), sorted: analyses end in window order
 
     def deliver(until: float) -> None:
         while in_flight and in_flight[0][0] <= until:
-            at, agent_id, policy = in_flight.pop(0)
-            agents[agent_id].apply_policy(policy, at)
+            at, policy = in_flight.pop(0)
+            agents[policy.agent_id].apply_policy(policy, at)
 
     for w in range(n_windows):
         t = round((w + 1) * cfg.window_length, 9)
@@ -323,9 +319,8 @@ def run(cfg: ScenarioConfig,
                            "method": assessment.method,
                            "victims": sorted(assessment.victim_addrs)})
             if cfg.scheme == SCHEME_MECSHIELD:
-                for p in controller.dispatch(assessment, analyzed):
-                    in_flight.extend((round(analyzed + link, 9), agent_id, p)
-                                     for agent_id in p.addressed_agents)
+                in_flight.extend((round(analyzed + link, 9), p)
+                                 for p in controller.dispatch(assessment, analyzed))
     deliver(math.inf)
 
     for agent_id in agent_order:
@@ -390,16 +385,12 @@ def compute_metrics(events: list[dict]) -> RunMetrics:
     classified = tp + fp + tn + fn
     dr = tp / (tp + fn) if (tp + fn) else None
     acc = (tp + tn) / classified if classified else None
-    reaction_by_agent = {}
-    for agent_id, t0 in first_mal.items():
-        if agent_id in first_enforced:
-            reaction_by_agent[agent_id] = max(0.0, first_enforced[agent_id] - t0)
-    reaction = (sum(reaction_by_agent.values()) / len(reaction_by_agent)
-                if reaction_by_agent else None)
+    reactions = [max(0.0, first_enforced[agent_id] - t0)
+                 for agent_id, t0 in first_mal.items() if agent_id in first_enforced]
+    reaction = sum(reactions) / len(reactions) if reactions else None
 
     summary = next(e for e in events if e["kind"] == "controller_summary")
     ctrl_work = {int(k): v for k, v in summary["work_by_window"].items()}
-    agent_work = {int(k): v for k, v in summary["agent_work_by_window"].items()}
     filters = {e["window"]: e["active"] for e in events if e["kind"] == "filters"}
     win_len = info["window_length"]
     attack_start = info.get("attack_start")
@@ -417,11 +408,10 @@ def compute_metrics(events: list[dict]) -> RunMetrics:
                 agg[k] += e[k]
     return RunMetrics(
         scheme=info["scheme"], attack_level=info["attack_level"], seed=info["seed"],
-        reaction_time=reaction, reaction_by_agent=reaction_by_agent,
+        reaction_time=reaction,
         detection_rate=dr, accuracy=acc, tp=tp, fp=fp, tn=tn, fn=fn,
         controller_work_by_window=ctrl_work,
         controller_work_attack_mean=ctrl_attack_mean,
-        agent_work_by_window=agent_work,
         active_filters_by_window=filters,
         active_filter_integral=sum(filters.values()) * win_len,
         flows_presented=agg["processed"], flows_forwarded=agg["forwarded"],

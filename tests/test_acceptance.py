@@ -14,7 +14,6 @@ import pytest
 from mecshield.agent import Agent, AgentConfig, FORWARD, NORMAL, PROTECTION
 from mecshield.cli import main
 from mecshield.config import reference_config
-from mecshield.features import FeatureMode
 from mecshield.harness import run
 from mecshield.som import (BENIGN, MALICIOUS, SomHyperParams, SomMap,
                            init_map)
@@ -212,7 +211,7 @@ def _fuzz_agent(seed):
                       local_trigger_count=5,
                       hyperparams=SomHyperParams(initial_learning_rate=0.01,
                                                  initial_radius=0.5))
-    return Agent(f"fz{seed}", {FeatureMode.SOURCE_SITE: m}, cfg)
+    return Agent(f"fz{seed}", m, cfg)
 
 
 def test_criterion_10_state_machine_safety():
@@ -269,9 +268,8 @@ def test_criterion_10_state_machine_safety():
                     a.apply_policy(Policy(
                         policy_id=f"p{trial}-{step}", target_addrs=[2],
                         attack_method="app_layer_flood", role=ROLE_SOURCE,
-                        required_features=FeatureMode.SOURCE_SITE,
                         mitigation=MITIGATE_DROP, issued_at=now,
-                        expires_at=now + ttl, addressed_agents=[a.agent_id]),
+                        expires_at=now + ttl, agent_id=a.agent_id),
                         now)
                     if a.mode != PROTECTION:
                         violations += 1

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mecshield.agent import (Agent, AgentConfig, BLOCK, DROP, FORWARD, NORMAL,
-                             PROTECTION, R_POLICY_BLOCK, R_SOM_MALICIOUS)
+                             PROTECTION, R_POLICY_BLOCK, R_POLICY_DROP,
+                             R_SOM_MALICIOUS)
 from mecshield.controller import (MITIGATE_DROP, Policy, ROLE_DESTINATION,
                                   ROLE_SOURCE)
-from mecshield.features import FeatureMode
 from mecshield.som import BENIGN, MALICIOUS, SomHyperParams, SomMap
 from mecshield.traffic import FlowRecord
 
@@ -41,17 +41,14 @@ def fresh_agent(**kw):
                       local_trigger_count=5,
                       hyperparams=SomHyperParams(initial_learning_rate=0.01,
                                                  initial_radius=0.5))
-    return Agent("a1", {FeatureMode.SOURCE_SITE: labeled_map()}, cfg, **kw)
+    return Agent("a1", labeled_map(), cfg, **kw)
 
 
-def make_policy(pid="pol-1", role=ROLE_SOURCE, agents=("a1",), issued=0.0,
+def make_policy(pid="pol-1", role=ROLE_SOURCE, agent="a1", issued=0.0,
                 ttl=300.0, mitigation=MITIGATE_DROP):
-    mode = (FeatureMode.SOURCE_SITE if role == ROLE_SOURCE
-            else FeatureMode.DESTINATION_SITE)
     return Policy(policy_id=pid, target_addrs=[2], attack_method="app_layer_flood",
-                  role=role, required_features=mode, mitigation=mitigation,
-                  issued_at=issued, expires_at=issued + ttl,
-                  addressed_agents=list(agents))
+                  role=role, mitigation=mitigation, issued_at=issued,
+                  expires_at=issued + ttl, agent_id=agent)
 
 
 def test_normal_mode_forwards_everything():
@@ -116,15 +113,21 @@ def test_policy_block_rule_on_heavy_flows():
 def test_policy_addressing_rejected():
     a = fresh_agent()
     with pytest.raises(ValueError, match="addressed"):
-        a.apply_policy(make_policy(agents=("other",)), 1.0)
+        a.apply_policy(make_policy(agent="other"), 1.0)
 
 
-def test_destination_policy_switches_to_3dim():
+def test_destination_policy_drops_attack_flows():
+    # a policy of either role arms protection with the agent's own trained map
     a = fresh_agent()
     a.apply_policy(make_policy(role=ROLE_DESTINATION), 1.0)
-    assert a.feature_mode == FeatureMode.DESTINATION_SITE
-    assert a.som.dim == 3
     assert a.mode == PROTECTION
+    verdicts, work = a.ingest([benign_flow(0, 5.5), malicious_flow(1, 5.5)], 10.0)
+    by_id = {v.flow_id: v for v in verdicts}
+    assert by_id["b0"].decision == FORWARD
+    assert (by_id["m1"].decision, by_id["m1"].reason) == (DROP, R_POLICY_DROP)
+    assert all(v.classified for v in verdicts)
+    assert work == 4                       # 2 classified + 2 trained
+    assert a.flows_dropped == 1
 
 
 def test_quiet_period_deactivates():
@@ -151,8 +154,7 @@ def test_active_policy_overrides_quiet_period():
 
 
 def test_filter_always_on_never_deactivates():
-    a = Agent("a1", {FeatureMode.SOURCE_SITE: labeled_map()},
-              AgentConfig(), filter_always_on=True)
+    a = Agent("a1", labeled_map(), AgentConfig(), filter_always_on=True)
     assert a.mode == PROTECTION
     a.tick(10000.0)
     assert a.mode == PROTECTION

@@ -10,7 +10,6 @@ from mecshield.controller import (AttackAssessment, Controller,
                                   METHOD_VOLUMETRIC, MITIGATE_BLOCK,
                                   MITIGATE_DROP, Policy, ROLE_DESTINATION,
                                   ROLE_SOURCE)
-from mecshield.features import FeatureMode
 
 TOPOLOGY = {
     "a": [(0x0A000000, 0x0A00FFFF)],
@@ -146,16 +145,12 @@ def test_make_policies_topology_roles():
                          suspected_source_ranges=[(0x0A000001, 0x0A000005),
                                                   (0x0A010001, 0x0A010002)])
     policies = c.make_policies(a, now=10.0)
-    roles = {(p.addressed_agents[0], p.role) for p in policies}
+    roles = {(p.agent_id, p.role) for p in policies}
     assert roles == {("c", ROLE_DESTINATION), ("a", ROLE_SOURCE),
                      ("b", ROLE_SOURCE)}
     for p in policies:
         assert p.mitigation == MITIGATE_DROP
         assert p.expires_at > p.issued_at
-        if p.role == ROLE_SOURCE:
-            assert p.required_features == FeatureMode.SOURCE_SITE
-        else:
-            assert p.required_features == FeatureMode.DESTINATION_SITE
 
 
 def test_make_policies_requires_detected():
@@ -197,13 +192,8 @@ def test_dispatch_dedups_repeat_assessments():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        Policy("p", [1], METHOD_SYN_FLOOD, ROLE_SOURCE,
-               FeatureMode.SOURCE_SITE, MITIGATE_DROP,
-               issued_at=10.0, expires_at=10.0, addressed_agents=["a"])
-    with pytest.raises(ValueError):
-        Policy("p", [1], METHOD_SYN_FLOOD, ROLE_SOURCE,
-               FeatureMode.DESTINATION_SITE, MITIGATE_DROP,
-               issued_at=0.0, expires_at=1.0, addressed_agents=["a"])
+        Policy("p", [1], METHOD_SYN_FLOOD, ROLE_SOURCE, MITIGATE_DROP,
+               issued_at=10.0, expires_at=10.0, agent_id="a")
 
 
 def test_collect_fuzzed_totals_match():

@@ -7,7 +7,11 @@ The off-default timing cells pin the message schedule where delays reach
 past a window: zero delays, analyses that end after the next window closes,
 centralized verdicts that return after the run ends, policies that arrive
 after the last window, and policies that arrive exactly as a window closes
-(applied before the agents step)."""
+(applied before the agents step).
+
+Two more scenarios pin paths the reference never takes: a volumetric DNS
+flood, and a victim inside monitor-net, which then gets a destination
+policy."""
 import pytest
 
 from mecshield.config import parse_config, reference_config, reference_config_dict
@@ -77,3 +81,61 @@ def test_off_default_timing_digests_are_pinned(timing):
                     if e["kind"] == "policy_applied" and e["t"] > cfg.duration]
             assert len(late) == LATE_POLICIES[timing]
     assert got == GOLDEN_TIMING[timing]
+
+
+def _volumetric_doc() -> dict:
+    doc = reference_config_dict(seed=0)
+    doc["scenario"]["attacks"] = [
+        {"scenario": "volumetric", "sub_mode": "dns", "agent": "sensor-net",
+         "start_time": 25.0, "target_addr": 0xD0000001, "bot_count": 20,
+         "requests_per_bot_per_s": 2}]
+    return doc
+
+
+def _inside_victim_doc() -> dict:
+    doc = reference_config_dict(seed=0)
+    for atk in doc["scenario"]["attacks"]:
+        atk["target_addr"] = 0x0A010005     # a host in monitor-net
+    return doc
+
+
+SCENARIOS = {"volumetric": _volumetric_doc, "inside-victim": _inside_victim_doc}
+
+# scenario -> scheme -> digest; seed 0, level 300, 600 pretraining samples
+GOLDEN_SCENARIOS = {
+    "volumetric": {
+        "centralized": "10fc0db8fdc47ba4e8a4fcb11e3ae10aaeb788663e36aa1f782fcd934dee53d5",
+        "distributed": "419aff6ab89751a59f7bdd8bf3e04f8b1d3d5cde11ef5a010e2357c31e3c2eab",
+        "mecshield": "745acf8298c0117913aea7c8f3ba48253d6d227a780390a89770b94e798022b0",
+    },
+    "inside-victim": {
+        "centralized": "a909f5359e841245e4c21c8bd66a4dba0bc1cef89ff3839fb77b660ed039a3ba",
+        "distributed": "4ff004ba8dd70710ecd54a8e2093451cfe8e29273bc91244ea87df4463cef59b",
+        "mecshield": "012158764114beb144548b3ca4aac3dca62c4a9a3ac90245b0591a27936333b8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_scenario_digests_are_pinned(name):
+    rc = parse_config(SCENARIOS[name]())
+    cache: dict = {}
+    got = {}
+    for scheme in SCHEMES:
+        cfg = rc.scenario_for(scheme, 300, seed=0)
+        cfg.pretrain_samples = 600
+        _, events = run(cfg, cache=cache)
+        got[scheme] = event_log_digest(events)
+        if name == "inside-victim" and scheme == "mecshield":
+            # the destination policy arms monitor-net's own trained map, so
+            # the agent classifies its window's flows from then on
+            applied = [e["t"] for e in events if e["kind"] == "policy_applied"
+                       and e["agent"] == "monitor-net"]
+            assert applied == [30.07]
+            assert any(e["kind"] == "policy" and e["agent"] == "monitor-net"
+                       and e["role"] == "destination" for e in events)
+            classified = [e["t"] for e in events if e["kind"] == "classify"
+                          and e["agent"] == "monitor-net"]
+            assert len(classified) == 9
+            assert min(classified) > 30.07
+    assert got == GOLDEN_SCENARIOS[name]
