@@ -113,16 +113,22 @@ def _window_buckets(flows: list[FlowRecord],
 
 
 def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
-                     spec: NormalizationSpec, window_length: float):
-    """Window the flows and extract one labeled vector per flow."""
+                     spec: NormalizationSpec, window_length: float,
+                     count: int | None = None):
+    """Window the flows and extract one labeled vector per flow, in window
+    order; with a `count`, only the first `count` of them.  Windows are
+    extracted independently, so extraction stops after the window that
+    reaches `count`."""
     vectors, labels = [], []
     for w, batch in sorted(_window_buckets(flows, window_length).items()):
+        if count is not None and len(vectors) >= count:
+            break
         stats = window_stats(batch, w * window_length, window_length)
         vecs = extract(batch, mode, spec, stats)
         for v, f in zip(vecs, batch):
             vectors.append(v)
             labels.append(MALICIOUS if f.truth_label == LABEL_MALICIOUS else BENIGN)
-    return vectors, labels
+    return vectors[:count], labels[:count]
 
 
 def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
@@ -136,9 +142,9 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
         """The first n samples of gen(dur) flows, doubling dur until enough."""
         for _ in range(6):
             vecs, labs = flows_to_samples(gen(dur), cfg.feature_mode, cfg.norm_spec,
-                                          cfg.window_length)
-            if len(vecs) >= n:
-                return vecs[:n], labs[:n]
+                                          cfg.window_length, count=n)
+            if len(vecs) == n:
+                return vecs, labs
             dur *= 2.0
         raise ConfigError(f"could not generate {n} {what} pretraining samples "
                           f"for {agent.agent_id}")
@@ -337,13 +343,16 @@ def run(cfg: ScenarioConfig,
     # the index keeps equal keys in log order, as a stable sort would, so
     # the sort never compares two events
     keyed = sorted((e["t"], _EVENT_RANK.get(e["kind"], len(_EVENT_RANK)),
-                    json.dumps(e, sort_keys=True), i) for i, e in enumerate(events))
+                    _canonical(e), i) for i, e in enumerate(events))
     events = [events[k[3]] for k in keyed]
     if cache is not None:
         cache[_LINES] = [k[2] for k in keyed]
     del keyed
     return compute_metrics(events), events
 
+
+# json.dumps(e, sort_keys=True) without building an encoder per event
+_canonical = json.JSONEncoder(sort_keys=True).encode
 
 _EVENT_RANK = {kind: i for i, kind in enumerate(
     ["run_info", "first_malicious_arrival", "mode", "policy_applied", "policy",

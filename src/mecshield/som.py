@@ -115,8 +115,13 @@ class SomMap:
         Squared distances are compared (argmin-equivalent); ties resolve to
         the lowest row-major index via argmin's first-occurrence rule.
         """
-        v = self._check_vector(v)
-        return int(np.argmin(_sq_dists(v[None, :], self.weights)[0]))
+        return self._winner(self._check_vector(v))
+
+    def _winner(self, v: np.ndarray) -> int:
+        """`find_winner` for a vector already checked: the same bits as
+        `_sq_dists(v[None, :], self.weights)[0]`, without the batch axis."""
+        d = self.weights - v
+        return int(np.einsum("ij,ij->i", d, d).argmin())
 
     # -- training ----------------------------------------------------------
 
@@ -133,25 +138,26 @@ class SomMap:
         v = self._check_vector(v)
         alpha = hp.learning_rate(self.epoch)
         sigma = hp.radius(self.epoch)
-        win = self.find_winner(v) if winner is None else winner
+        win = self._winner(v) if winner is None else winner
         s2 = sigma * sigma
         # convex moves; the clips only guard against ulp-level overshoot at
-        # 0/1, and the rows that do not move already lie in [0,1]
+        # 0/1, and the rows that do not move already lie in [0,1].  The
+        # ndarray method skips the np.clip wrapper and gives the same bits.
         if s2 < 1.0:
             # lattice distances are whole numbers, so the neighborhood is the
             # winner alone, at weight exp(-0) = 1 (also once s2 underflows to
             # 0, where exp(-0/0) would be NaN): the same bits as the mask path
             row = self.weights[win]         # a view: updates the map in place
             row += alpha * (v - row)
-            np.clip(row, 0.0, 1.0, out=row)
+            row.clip(0.0, 1.0, out=row)
         else:
-            d2_grid = _lattice_sq_dists(self.width, self.height)[win]
-            mask = d2_grid <= s2
-            h = np.exp(-d2_grid[mask] / (2.0 * sigma * sigma))
-            moved = self.weights[mask]
+            d2_row = _lattice_sq_dists(self.width, self.height)[win]
+            near = np.flatnonzero(d2_row <= s2)
+            h = np.exp(-d2_row[near] / (2.0 * sigma * sigma))
+            moved = self.weights[near]
             moved += alpha * h[:, None] * (v - moved)
-            np.clip(moved, 0.0, 1.0, out=moved)
-            self.weights[mask] = moved
+            moved.clip(0.0, 1.0, out=moved)
+            self.weights[near] = moved
         self.hit_counts[win] += 1
         if label == BENIGN:
             self.benign_wins[win] += 1

@@ -177,7 +177,9 @@ class AttackProfile:
 def _packet_times(rng, start: float, dur: float, count: int) -> list[float]:
     if count <= 0:
         return []
-    return (start + np.sort(rng.uniform(0.0, dur, size=count))).tolist()
+    ts = rng.uniform(0.0, dur, size=count)
+    ts.sort()
+    return (start + ts).tolist()
 
 
 def gen_benign(profile: BenignProfile, duration: float, seed: int,
@@ -295,13 +297,18 @@ def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
     byte_w = p.bytes_per_packet * (p.multiplier if p.sub_mode == "asymmetric" else 1.0)
     flows: list[FlowRecord] = []
 
-    def emit(bot, start):
-        ts = _packet_times(rng, start, p.session_duration, pkts)
-        flows.append(FlowRecord(
-            flow_id=f"atk-{bot:x}-{len(flows)}", src_addr=bot,
-            dst_addr=p.target_addr, protocol=p.protocol, dst_port=p.dst_port,
-            packet_count=pkts, byte_count=pkts * byte_w, start_time=start,
-            end_time=ts[-1], packet_timestamps=ts, truth_label=LABEL_MALICIOUS))
+    def emit(bot, starts):
+        # one draw for a run of sessions with no other draw between them:
+        # the same stream as one draw of pkts per session
+        ts =rng.uniform(0.0, p.session_duration, size=(len(starts), pkts))
+        ts.sort(axis=1)
+        ts += np.array(starts)[:, None]
+        for start, row in zip(starts, ts.tolist()):
+            flows.append(FlowRecord(
+                flow_id=f"atk-{bot:x}-{len(flows)}", src_addr=bot,
+                dst_addr=p.target_addr, protocol=p.protocol, dst_port=p.dst_port,
+                packet_count=pkts, byte_count=pkts * byte_w, start_time=start,
+                end_time=row[-1], packet_timestamps=row, truth_label=LABEL_MALICIOUS))
 
     for b in range(p.bot_count):
         bot = src_base + b
@@ -310,17 +317,17 @@ def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
             burst_rate = rate / p.burst_size
             t = t0 + float(rng.exponential(1.0 / burst_rate))
             while t < t0 + duration:
-                for k in range(p.burst_size):
-                    start = t + k * p.burst_interval
-                    if start < t0 + duration:
-                        emit(bot, start)
+                starts = [t + k * p.burst_interval for k in range(p.burst_size)]
+                emit(bot, [s for s in starts if s < t0 + duration])
                 t += float(rng.exponential(1.0 / burst_rate))
         else:
             phase = float(rng.uniform(0.0, 1.0 / rate))
             t = t0 + phase
+            starts = []
             while t < t0 + duration:
-                emit(bot, t)
+                starts.append(t)
                 t += 1.0 / rate
+            emit(bot, starts)
     if p.offered_rate > 0 and flows:
         total = sum(f.byte_count for f in flows)
         scale = p.offered_rate * duration / total

@@ -14,7 +14,8 @@ from mecshield.config import SCHEMES, reference_config
 from mecshield.controller import Controller
 from mecshield.errors import ConfigError
 from mecshield.harness import (build_training_set, compute_metrics, derive_seed,
-                               event_log_digest, generate_traffic, metrics_row,
+                               event_log_digest, flows_to_samples, generate_traffic,
+                               metrics_row,
                                METRIC_COLUMNS, run, run_matrix)
 from mecshield.traffic import LABEL_MALICIOUS
 
@@ -121,6 +122,19 @@ def test_training_set_fraction_and_determinism():
     assert all((x == y).all() for x, y in zip(v1, v2))
     mal = sum(1 for x in l1 if x == "malicious")
     assert mal == int(cfg.pretrain_samples * cfg.pretrain_malicious_fraction)
+
+
+def test_flows_to_samples_count_keeps_the_first_samples():
+    cfg = tiny_cfg(level=300.0)
+    flows = max(generate_traffic(cfg).values(), key=len)
+    args = (cfg.feature_mode, cfg.norm_spec, cfg.window_length)
+    vecs, labs = flows_to_samples(flows, *args)
+    assert {"benign", "malicious"} <= set(labs)
+    first_window = sum(1 for f in flows if f.start_time < cfg.window_length)
+    for n in (0, 1, first_window, first_window + 1, len(vecs) - 1, len(vecs), len(vecs) + 7):
+        got_v, got_l = flows_to_samples(flows, *args, count=n)
+        assert got_l == labs[:n]
+        assert [v.tobytes() for v in got_v] == [v.tobytes() for v in vecs[:n]]
 
 
 def test_run_deterministic_event_log():

@@ -494,10 +494,22 @@ def test_train_step_matches_whole_matrix_clip(m, data):
 @settings(deadline=None, max_examples=150)
 @given(trained_maps(), st.data())
 def test_train_step_matches_neighborhood_reference_at_every_radius(m, data):
+    _assert_steps_match_reference(m, data, max_radius=8.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([(20, 20), (7, 3), (3, 7)]), st.integers(1, 5),
+       st.integers(0, 2**32 - 1), st.data())
+def test_train_step_matches_reference_on_large_and_oblong_lattices(shape, dim, seed, data):
+    # neighbourhoods up to the whole 20x20 lattice, clipped at its edges
+    _assert_steps_match_reference(init_map(*shape, dim, seed=seed), data, max_radius=30.0)
+
+
+def _assert_steps_match_reference(m, data, max_radius):
     # below sigma^2 = 1 only the winner moves; train_step updates that row
     # alone and must give the reference's bits, tallies and epoch
     hp = SomHyperParams(initial_learning_rate=data.draw(st.floats(1e-3, 1.0)),
-                        initial_radius=data.draw(st.floats(0.1, 8.0)),
+                        initial_radius=data.draw(st.floats(0.1, max_radius)),
                         lr_decay_constant=data.draw(st.floats(100.0, 1e4)),
                         radius_decay_constant=data.draw(st.floats(100.0, 1e4)))
     c, log_r = hp.radius_decay_constant, math.log(hp.initial_radius)

@@ -1,9 +1,10 @@
 """Traffic generator and CSV ingestion tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecshield.errors import DataError
-from mecshield.traffic import (ALARM, AMPLIFICATION, AttackProfile,
+from mecshield.traffic import (ALARM, AMPLIFICATION, APP_LAYER_MODES, AttackProfile,
                                BenignProfile, CSV_HEADER, FlowRecord,
                                LABEL_BENIGN, LABEL_MALICIOUS, MONITOR, SENSOR,
                                default_benign_profile, gen_attack, gen_benign,
@@ -186,6 +187,65 @@ def test_bursty_arrivals_clump_sessions():
     starts = sorted(f.start_time for f in flows)
     gaps = np.diff(starts)
     assert (gaps <= 0.100001).sum() >= len(gaps) * 0.5   # mostly intra-burst
+
+
+def _app_layer_one_draw_per_session(p, duration, seed, src_base, t0):
+    """Reference application-layer generator that draws each session's
+    packet times on their own: (flow id, source, start, end, packet times,
+    packet count, bytes) per flow."""
+    rng = np.random.default_rng([seed, 0xA77AC])
+    rate = p.session_rate()
+    pkts = max(1, int(round(p.base_packets_per_flow *
+                            (p.multiplier if p.sub_mode == "request_flood" else 1.0))))
+    byte_w = p.bytes_per_packet * (p.multiplier if p.sub_mode == "asymmetric" else 1.0)
+    out = []
+
+    def emit(bot, start):
+        ts = (start + np.sort(rng.uniform(0.0, p.session_duration, size=pkts))).tolist()
+        out.append([f"atk-{bot:x}-{len(out)}", bot, start, ts[-1], ts, pkts, pkts * byte_w])
+
+    for bot in range(src_base, src_base + p.bot_count):
+        if p.burst_size > 1:
+            burst_rate = rate / p.burst_size
+            t = t0 + float(rng.exponential(1.0 / burst_rate))
+            while t < t0 + duration:
+                for k in range(p.burst_size):
+                    if t + k * p.burst_interval < t0 + duration:
+                        emit(bot, t + k * p.burst_interval)
+                t += float(rng.exponential(1.0 / burst_rate))
+        else:
+            t = t0 + float(rng.uniform(0.0, 1.0 / rate))
+            while t < t0 + duration:
+                emit(bot, t)
+                t += 1.0 / rate
+    if p.offered_rate > 0 and out:
+        scale = p.offered_rate * duration / sum(o[-1] for o in out)
+        for o in out:
+            o[-1] *= scale
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(APP_LAYER_MODES), st.integers(1, 4), st.integers(1, 5),
+       st.one_of(st.just(0.0), st.floats(1.0, 1e7)),
+       st.one_of(st.just(0.0), st.floats(0.1, 500.0)),
+       st.floats(0.2, 5.0), st.floats(1.0, 6.0), st.integers(1, 4),
+       st.floats(0.01, 2.0), st.floats(0.01, 0.5), st.floats(0.5, 20.0),
+       st.integers(0, 2**32 - 1))
+def test_app_layer_flows_equal_one_draw_per_session(
+        mode, bots, burst_size, offered_rate, t0, session_rate, multiplier,
+        packets, session_duration, burst_interval, duration, seed):
+    # a run of sessions shares one packet draw; the stream must be the one
+    # that one draw per session gives
+    p = AttackProfile("app_layer", mode, target_addr=7, bot_count=bots,
+                      offered_rate=offered_rate, base_session_rate=session_rate,
+                      multiplier=multiplier, base_packets_per_flow=packets,
+                      session_duration=session_duration, burst_size=burst_size,
+                      burst_interval=burst_interval)
+    flows = gen_attack(p, duration, seed=seed, src_base=0xC6000010, t0=t0)
+    assert [[f.flow_id, f.src_addr, f.start_time, f.end_time, f.packet_timestamps,
+             f.packet_count, f.byte_count] for f in flows] == \
+        _app_layer_one_draw_per_session(p, duration, seed, 0xC6000010, t0)
 
 
 def test_attack_labels_and_determinism():
