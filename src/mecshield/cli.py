@@ -13,8 +13,8 @@ from pathlib import Path
 from .config import MAX_FLOWS, RunConfig, config_to_dict, load_config, reference_config
 from .errors import ConfigError, DataError
 from .features import MODE_DIM
-from .harness import METRIC_COLUMNS, flows_to_samples, run_matrix
-from .som import BENIGN, MALICIOUS, SomMap, init_map
+from .harness import METRIC_COLUMNS, flows_to_samples, run_matrix, train_map
+from .som import BENIGN, MALICIOUS, SomMap
 from .traffic import (AttackProfile, default_benign_profile, gen_attack,
                       gen_benign, load_flow_csv, write_flow_csv)
 
@@ -57,10 +57,7 @@ def cmd_train(args) -> int:
         raise DataError("training dataset is empty; no map written")
     vectors, labels = flows_to_samples(flows, sc.feature_mode, sc.norm_spec,
                                        sc.window_length)
-    m = init_map(sc.som_width, sc.som_height, MODE_DIM[sc.feature_mode],
-                 seed=sc.hyperparams.rng_seed)
-    m.train(vectors, labels, sc.hyperparams)
-    m.label_neurons()
+    m = train_map(sc, vectors, labels)
     out_dir = Path(rc.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     map_path = out_dir / "som_map.json"
@@ -201,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="YAML run configuration (default: built-in reference)")
-        sp.add_argument("--seed", type=int, help="override the run seed")
         sp.add_argument("--out", help="override the output directory")
 
     sp = sub.add_parser("train", help="train a SOM from labeled flow CSVs")
@@ -211,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="run the scheme/level comparison matrix")
     common(sp)
+    sp.add_argument("--seed", type=int, help="override the run seed")
     sp.add_argument("--scheme", action="append",
                     help="restrict to a scheme (repeatable)")
     sp.set_defaults(func=cmd_run)

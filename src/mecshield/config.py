@@ -53,7 +53,7 @@ class AttackSpec:
     agent_id: str = field(metadata={"key": ("agent",)})     # agent whose network hosts the bots
     start_time: float = 0.0
     scale_with_level: bool = True # level multiplies the bot request/session rate
-    src_offset: int = 1000        # bots live at agent.addr_lo + src_offset + i
+    src_offset: int = 1000        # bot b of attack k: agent.addr_lo + src_offset + 1000*k + b
 
     def __post_init__(self):
         # logged and echoed as a float, also when written as an integer
@@ -135,11 +135,21 @@ class ScenarioConfig(AgentConfig):
         for a in self.agents:
             if a.addr_lo > a.addr_hi:
                 raise ConfigError(f"agent {a.agent_id}: addr_lo > addr_hi")
-        for atk in self.attacks:
+        for k, atk in enumerate(self.attacks):
             if atk.agent_id not in ids:
                 raise ConfigError(f"attack references unknown agent {atk.agent_id!r}")
             if not (0.0 <= atk.start_time < self.duration):
                 raise ConfigError("attack start_time must lie within the run")
+            # the bots' addresses, as generate_traffic lays them out: outside
+            # the agent's range another agent, or none, would see their flows
+            host = self.agents[ids.index(atk.agent_id)]
+            first = host.addr_lo + atk.src_offset + 1000 * k
+            last = first + atk.profile.bot_count - 1
+            if not host.addr_lo <= first <= last <= host.addr_hi:
+                raise ConfigError(
+                    f"scenario.attacks[{k}]: src_offset {atk.src_offset} puts its bots at "
+                    f"{first}..{last}, outside the range {host.addr_lo}..{host.addr_hi} "
+                    f"of its agent {atk.agent_id!r}")
         # the flows in the run and every agent's first pretraining pass: each
         # leveled attack counted with all malicious samples for every agent,
         # each agent's benign traffic with its own benign samples
@@ -347,73 +357,14 @@ def config_to_dict(rc: RunConfig) -> dict:
 
 
 def reference_config(seed: int = 7) -> RunConfig:
-    """The built-in three-category scenario used by the comparison runs.
-
-    One IoT network per traffic category.  The adversary floods from bots in
-    the sensor network and adds a smaller component shaped like alarm-network
-    bursts, so a pooled classifier must trade it off against alarm traffic
-    while the local sensor-side filter separates it cleanly.
-    """
+    """The built-in scenario used by the comparison runs, at `seed`."""
     return parse_config(reference_config_dict(seed))
 
 
 def reference_config_dict(seed: int = 7) -> dict:
-    return {
-        "version": CONFIG_VERSION,
-        "seed": seed,
-        "output_dir": "out",
-        "schemes": ["mecshield", "distributed", "centralized"],
-        "attack_levels": [50, 100, 200, 300],
-        "scenario": {
-            "duration": 60.0,
-            "window_length": 5.0,
-            "link_delay": 0.01,
-            "analysis_delay": 0.05,
-            "pretrain_samples": 10000,
-            "pretrain_malicious_fraction": 0.3,
-            "quiet_period": 30.0,
-            "local_trigger_count": 5,
-            "agents": [
-                {"id": "sensor-net", "category": "sensor",
-                 "addr_lo": 0x0A000000, "addr_hi": 0x0A00FFFF,
-                 "profile": {"device_count": 30, "period": 10.0,
-                             "packets_per_flow": 5.0, "protocol": "UDP",
-                             "dst_port": 5683, "flow_duration": 1.0}},
-                {"id": "monitor-net", "category": "monitor",
-                 "addr_lo": 0x0A010000, "addr_hi": 0x0A01FFFF,
-                 "profile": {"device_count": 3, "flows_per_minute": 6.0,
-                             "packets_per_flow": 500.0, "protocol": "TCP",
-                             "dst_port": 554, "flow_duration": 30.0}},
-                {"id": "alarm-net", "category": "alarm",
-                 "addr_lo": 0x0A020000, "addr_hi": 0x0A02FFFF,
-                 "profile": {"device_count": 5, "event_rate": 0.2,
-                             "burst_flows": 12, "packets_per_flow": 2.0,
-                             "protocol": "TCP", "dst_port": 80,
-                             "bytes_per_packet": 60.0, "flow_duration": 2.0}},
-            ],
-            "attacks": [
-                # main session flood from sensor-side bots; level scales its rate
-                {"scenario": "app_layer", "sub_mode": "session_flood",
-                 "agent": "sensor-net", "start_time": 25.0,
-                 "target_addr": 0xD0000001, "bot_count": 20,
-                 "base_session_rate": 0.1, "multiplier": 10.0,
-                 "base_packets_per_flow": 2, "bytes_per_packet": 60.0,
-                 "session_duration": 0.5},
-                # alarm-burst mimicry component, fixed rate across levels
-                {"scenario": "app_layer", "sub_mode": "session_flood",
-                 "agent": "sensor-net", "start_time": 25.0,
-                 "target_addr": 0xD0000001, "bot_count": 10,
-                 "base_session_rate": 2.4, "multiplier": 1.0,
-                 "base_packets_per_flow": 2, "bytes_per_packet": 60.0,
-                 "session_duration": 1.4, "burst_size": 12,
-                 "burst_interval": 0.1, "scale_with_level": False,
-                 "src_offset": 3000},
-            ],
-        },
-        "som": {"width": 20, "height": 20, "initial_learning_rate": 0.1,
-                "initial_radius": 10.0, "lr_decay_constant": 6000.0,
-                "radius_decay_constant": 3000.0, "rng_seed": 0},
-        "features": {"mode": "source", "flow_count_cap": 50,
-                     "packets_per_flow_cap": 100, "activity_quantum": 1.0},
-        "detection": {"syn_flows_per_window": 80.0},
-    }
+    """The document of `reference.yaml`, shipped beside this module, with its
+    seed set to `seed`: a new dict on every call, free for the caller to edit."""
+    from importlib.resources import files
+    doc = yaml.safe_load(files(__package__).joinpath("reference.yaml").read_text())
+    doc["seed"] = seed
+    return doc

@@ -174,7 +174,9 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
     return [vectors[i] for i in order], [labels[i] for i in order]
 
 
-def _train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
+def train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
+    """A labeled map trained on the samples, as every run and `mecshield
+    train` train it."""
     # every map starts from one shared initial codebook (the controller hands
     # out the untrained map), so per-neuron merging stays meaningful
     m = init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode],
@@ -202,11 +204,11 @@ def _filters(cfg: ScenarioConfig, cache: dict | None):
             vecs = [v for t in training for v in t[0]]
             labs = [l for t in training for l in t[1]]
             order = np.random.default_rng(derive_seed(cfg.seed, "pool")).permutation(len(vecs))
-            entry["central"] = _train_map(cfg, [vecs[i] for i in order],
-                                          [labs[i] for i in order])
+            entry["central"] = train_map(cfg, [vecs[i] for i in order],
+                                         [labs[i] for i in order])
         return entry["central"].copy(), [None] * len(cfg.agents)
     if "local" not in entry:
-        entry["local"] = [_train_map(cfg, *t) for t in training]
+        entry["local"] = [train_map(cfg, *t) for t in training]
     if cfg.scheme == SCHEME_DISTRIBUTED:
         merged = merge_maps(entry["local"])
         return None, [merged.copy() for _ in entry["local"]]

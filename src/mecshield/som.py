@@ -57,7 +57,6 @@ class SomHyperParams:
     initial_radius: float = 10.0
     lr_decay_constant: float = 10000.0
     radius_decay_constant: float = 10000.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.initial_learning_rate <= 1.0):

@@ -8,8 +8,9 @@ import yaml
 from mecshield import cli, harness
 from mecshield.cli import main
 from mecshield.config import parse_config, reference_config_dict
-from mecshield.harness import METRIC_COLUMNS, event_log_digest
+from mecshield.harness import METRIC_COLUMNS, event_log_digest, flows_to_samples
 from mecshield.som import BENIGN, MALICIOUS, SomHyperParams, SomMap, init_map
+from mecshield.traffic import load_flow_csv
 
 
 def tiny_config_doc(seed=3):
@@ -141,6 +142,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     # type, and duplicate cells; the error names the last key of the path
     nan, inf = float("nan"), float("inf")
     for where, value in [(("scenario", "drop_packets_max"), 3),
+                         (("som", "rng_seed"), 0),
                          (("scenario", "policy_ttl"), 0.0),
                          (("scenario", "base_level"), 0.0),
                          (("scenario", "attack_level"), -1.0),
@@ -195,6 +197,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     (["gen", "benign", "{out}", "--category", "bogus"], "--category"),
     (["run", "--seed", "abc"], "--seed"),
     (["run", "--scheme", "mecshield", "--scheme", "mecshield"], "--scheme"),
+    # `--seed` is the run seed; training and evaluation read no seed
+    (["train", "--seed", "1", "{out}"], "--seed"),
+    (["eval", "--seed", "1", "{out}", "{out}"], "--seed"),
 ])
 def test_bad_arguments_exit_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "flows.csv"
@@ -219,6 +224,12 @@ def test_gen_train_eval_loop(tmp_path):
                  str(benign_csv), str(attack_csv)]) == 0
     m = SomMap.load(out / "som_map.json")
     assert m.is_labeled
+    # the map `run` would train on the same samples
+    sc = parse_config(tiny_config_doc()).scenario
+    samples = flows_to_samples(load_flow_csv(benign_csv) + load_flow_csv(attack_csv),
+                               sc.feature_mode, sc.norm_spec, sc.window_length)
+    assert json.loads((out / "som_map.json").read_text()) == \
+        harness.train_map(sc, *samples).to_dict()
     summary = json.loads((out / "training_summary.json").read_text())
     assert summary["epoch"] == summary["samples"]
     assert summary["neurons"] == 400

@@ -106,9 +106,29 @@ def test_load_config_yaml(tmp_path):
         load_config(tmp_path / "missing.yaml")
 
 
-def test_reference_yaml_matches_builtin_reference():
-    path = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
-    assert config_to_dict(load_config(path)) == config_to_dict(reference_config())
+def test_reference_config_dict_is_new_on_every_call():
+    a = reference_config_dict()
+    a["scenario"]["agents"].clear()
+    b = reference_config_dict()
+    assert b is not a and len(b["scenario"]["agents"]) == 3
+    assert b["seed"] == 7 and reference_config_dict(seed=3)["seed"] == 3
+
+
+# sensor-net spans 0x10000 addresses; attack 0 has 20 bots, attack 1 has 10
+# and starts 1000 * 1 further in.  (k, an offset that is rejected, the
+# nearest offset that is accepted)
+@pytest.mark.parametrize("k, bad, good", [
+    (0, 0x10000, 0xFFFF - 19),          # past addr_hi
+    (0, -1, 0),                         # below addr_lo
+    (1, 0xFFFF - 9 - 1000 + 1, 0xFFFF - 9 - 1000),  # would fit but for 1000 * k
+])
+def test_attack_bots_must_sit_in_their_agents_range(k, bad, good):
+    doc = reference_config_dict()
+    doc["scenario"]["attacks"][k]["src_offset"] = bad
+    with pytest.raises(ConfigError, match=rf"scenario\.attacks\[{k}\]: src_offset {bad}"):
+        parse_config(doc)
+    doc["scenario"]["attacks"][k]["src_offset"] = good
+    parse_config(doc)
 
 
 def test_flow_cap_rejects_huge_levels():
