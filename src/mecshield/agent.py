@@ -39,7 +39,6 @@ class DestinationStats:
     flows: int = 0
     bytes: float = 0.0
     packets: int = 0
-    protocol_counts: dict = field(default_factory=dict)
     source_ranges: list = field(default_factory=list)   # (lo, hi) per reporting agent
 
 
@@ -158,14 +157,13 @@ class Agent:
 
     def _decide(self, flow: FlowRecord, now: float, predicted: str) -> Verdict:
         """The verdict on one classified flow: forward unless the map calls it
-        malicious; then drop, or block its source under a policy that blocks
-        or for a heavy flow.  Counts the verdict."""
+        malicious; then drop, or, under a policy, block the source of a heavy
+        flow.  Counts the verdict."""
         decision, reason = FORWARD, R_BENIGN
         if predicted == MALICIOUS:
             decision, reason = DROP, R_SOM_MALICIOUS
             if self._policy_active(now):
-                if (flow.packet_count >= self.config.block_packets_min
-                        or self.active_policy.mitigation == BLOCK):
+                if flow.packet_count >= self.config.block_packets_min:
                     decision, reason = BLOCK, R_POLICY_BLOCK
                     self.blocked_sources.add(flow.src_addr)
                 else:
@@ -204,7 +202,6 @@ class Agent:
             d.flows += 1
             d.bytes += f.byte_count
             d.packets += f.packet_count
-            d.protocol_counts[f.protocol] = d.protocol_counts.get(f.protocol, 0) + 1
             srcs.setdefault(f.dst_addr, []).append(f.src_addr)
         for dst, d in per_dst.items():
             d.source_ranges.append((min(srcs[dst]), max(srcs[dst])))
@@ -212,16 +209,15 @@ class Agent:
                              window_length=stats.window_length, per_destination=per_dst)
 
     def apply_policy(self, policy, now: float) -> None:
-        """Install a controller directive: arm the mitigation table and
-        activate protection, filtering with the agent's own map whatever the
-        policy's role."""
+        """Install a controller directive: activate protection, filtering with
+        the agent's own map whatever the policy's role."""
         if policy.agent_id != self.agent_id:
             raise ValueError(f"policy {policy.policy_id} is addressed to "
                              f"{policy.agent_id}, not agent {self.agent_id}")
         self.active_policy = policy
         self._enter_protection(now, "policy")
-        self._log(now, "policy_applied", policy_id=policy.policy_id,
-                  mitigation=policy.mitigation,
+        # every policy drops; the field stays because digests pin the log format
+        self._log(now, "policy_applied", policy_id=policy.policy_id, mitigation=DROP,
                   features=self.config.feature_mode.value)
 
     def tick(self, now: float) -> None:

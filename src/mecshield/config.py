@@ -53,11 +53,19 @@ class AttackSpec:
     agent_id: str = field(metadata={"key": ("agent",)})     # agent whose network hosts the bots
     start_time: float = 0.0
     scale_with_level: bool = True # level multiplies the bot request/session rate
-    src_offset: int = 1000        # bot b of attack k: agent.addr_lo + src_offset + 1000*k + b
+    src_offset: int = 1000        # where host_addrs puts the bots in the agent's range
 
     def __post_init__(self):
         # logged and echoed as a float, also when written as an integer
         self.start_time = float(self.start_time)
+
+
+def host_addrs(addr_lo: int, count: int, src_offset: int = 0, k: int = 0) -> range:
+    """The address plan of a network whose range starts at `addr_lo`: its
+    `count` benign devices, device d at addr_lo + d, or the `count` bots of
+    attack k placed at `src_offset`, bot b at addr_lo + src_offset + 1000*k + b."""
+    first = addr_lo + src_offset + 1000 * k
+    return range(first, first + count)
 
 
 def pretrain_duration(samples: int, rate: float, malicious: bool) -> float:
@@ -132,23 +140,27 @@ class ScenarioConfig(AgentConfig):
         for (lo1, hi1, id1), (lo2, hi2, id2) in zip(spans, spans[1:]):
             if lo2 <= hi1:
                 raise ConfigError(f"agent address ranges overlap: {id1} and {id2}")
-        for a in self.agents:
+        # every device and bot sits in its agent's range: outside it another
+        # agent, or none, would see its flows
+        for i, a in enumerate(self.agents):
             if a.addr_lo > a.addr_hi:
                 raise ConfigError(f"agent {a.agent_id}: addr_lo > addr_hi")
+            devices = host_addrs(a.addr_lo, a.benign_profile().device_count)
+            if devices[-1] > a.addr_hi:
+                raise ConfigError(
+                    f"scenario.agents[{i}].profile.device_count: {len(devices)} devices "
+                    f"reach {devices[-1]}, past addr_hi {a.addr_hi} of agent {a.agent_id!r}")
         for k, atk in enumerate(self.attacks):
             if atk.agent_id not in ids:
                 raise ConfigError(f"attack references unknown agent {atk.agent_id!r}")
             if not (0.0 <= atk.start_time < self.duration):
                 raise ConfigError("attack start_time must lie within the run")
-            # the bots' addresses, as generate_traffic lays them out: outside
-            # the agent's range another agent, or none, would see their flows
             host = self.agents[ids.index(atk.agent_id)]
-            first = host.addr_lo + atk.src_offset + 1000 * k
-            last = first + atk.profile.bot_count - 1
-            if not host.addr_lo <= first <= last <= host.addr_hi:
+            bots = host_addrs(host.addr_lo, atk.profile.bot_count, atk.src_offset, k)
+            if not host.addr_lo <= bots[0] <= bots[-1] <= host.addr_hi:
                 raise ConfigError(
                     f"scenario.attacks[{k}]: src_offset {atk.src_offset} puts its bots at "
-                    f"{first}..{last}, outside the range {host.addr_lo}..{host.addr_hi} "
+                    f"{bots[0]}..{bots[-1]}, outside the range {host.addr_lo}..{host.addr_hi} "
                     f"of its agent {atk.agent_id!r}")
         # the flows in the run and every agent's first pretraining pass: each
         # leveled attack counted with all malicious samples for every agent,

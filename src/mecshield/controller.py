@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .agent import DestinationStats, TrafficReport
+from .agent import DROP, DestinationStats, TrafficReport
 
-METHOD_SMURF_FRAGGLE = "smurf_fraggle"
 METHOD_SYN_FLOOD = "syn_flood"
 METHOD_VOLUMETRIC = "volumetric_amplification"
 METHOD_APP_LAYER = "app_layer_flood"
@@ -15,17 +14,6 @@ METHOD_UNKNOWN = "unknown"
 ROLE_SOURCE = "source"
 ROLE_DESTINATION = "destination"
 
-MITIGATE_DROP = "drop"
-MITIGATE_BLOCK = "block"
-
-_METHOD_MITIGATION = {
-    METHOD_SYN_FLOOD: MITIGATE_DROP,
-    METHOD_SMURF_FRAGGLE: MITIGATE_BLOCK,
-    METHOD_VOLUMETRIC: MITIGATE_DROP,
-    METHOD_APP_LAYER: MITIGATE_DROP,
-    METHOD_UNKNOWN: MITIGATE_DROP,
-}
-
 
 @dataclass
 class Policy:
@@ -33,7 +21,6 @@ class Policy:
     target_addrs: list
     attack_method: str
     role: str                        # source | destination
-    mitigation: str
     issued_at: float
     expires_at: float
     agent_id: str                    # the one agent the policy addresses
@@ -65,9 +52,6 @@ class DetectionThresholds:
     vol_rate_floor: float = 1e6           # bytes/s that trip the rule with no baseline yet
     syn_flows_per_window: float = 500.0
     syn_packets_per_flow_max: float = 3.0
-    smurf_ppf_multiplier: float = 10.0
-    smurf_ppf_floor: float = 500.0
-    smurf_max_flows: int = 10
     app_rate_multiplier: float = 10.0
     baseline_horizon: float = 60.0        # seconds of clean history kept per destination
 
@@ -85,8 +69,8 @@ class Controller:
         self.warnings: list[str] = []
         self.log = log if log is not None else []
         self._seen: set[tuple[str, float]] = set()
-        # clean-window history per destination: (window_start, byte_rate, flow_rate, ppf)
-        self._history: dict[int, list[tuple[float, float, float, float]]] = {}
+        # clean-window history per destination: (window_start, byte_rate, flow_rate)
+        self._history: dict[int, list[tuple[float, float, float]]] = {}
         self._policy_seq = 0
         self._dispatched: dict[tuple[str, str], float] = {}   # (agent, method) -> expiry
 
@@ -114,15 +98,13 @@ class Controller:
                 v.flows += d.flows
                 v.bytes += d.bytes
                 v.packets += d.packets
-                for proto, n in d.protocol_counts.items():
-                    v.protocol_counts[proto] = v.protocol_counts.get(proto, 0) + n
                 v.source_ranges.extend(d.source_ranges)
         return view
 
     # -- attack analysis ---------------------------------------------------
 
-    def _baseline(self, dst: int, now: float) -> tuple[float, float, float] | None:
-        """Mean (byte_rate, flow_rate, packets_per_flow) over trailing clean windows."""
+    def _baseline(self, dst: int, now: float) -> tuple[float, float] | None:
+        """Mean (byte_rate, flow_rate) over trailing clean windows."""
         hist = [h for h in self._history.get(dst, ())
                 if now - h[0] <= self.thresholds.baseline_horizon]
         self._history[dst] = hist
@@ -130,14 +112,13 @@ class Controller:
             return None
         n = len(hist)
         return (sum(h[1] for h in hist) / n,
-                sum(h[2] for h in hist) / n,
-                sum(h[3] for h in hist) / n)
+                sum(h[2] for h in hist) / n)
 
     def analyze(self, view: AggregateView) -> AttackAssessment:
         """Threshold rules over the per-destination aggregate.
 
-        Rule priority: Smurf/fraggle shape, SYN-flood shape, volumetric byte
-        rate, application-layer request rate.  Clean windows feed the trailing
+        Rule priority: SYN-flood shape, volumetric byte rate,
+        application-layer request rate.  Clean windows feed the trailing
         baseline; flagged windows never do, so added attack volume cannot
         un-detect an attack.
         """
@@ -146,8 +127,7 @@ class Controller:
         now = view.window_start + win
         victims: list[int] = []
         method = METHOD_UNKNOWN
-        priority = {METHOD_SMURF_FRAGGLE: 0, METHOD_SYN_FLOOD: 1,
-                    METHOD_VOLUMETRIC: 2, METHOD_APP_LAYER: 3}
+        priority = {METHOD_SYN_FLOOD: 0, METHOD_VOLUMETRIC: 1, METHOD_APP_LAYER: 2}
         best = len(priority)
         sources: list[tuple[int, int]] = []
         evidence: dict = {}
@@ -159,8 +139,6 @@ class Controller:
             flow_count = v.flows
             ppf = v.packets / v.flows
             base = self._baseline(dst, now)
-            icmp_udp = (v.protocol_counts.get("ICMP", 0) +
-                        v.protocol_counts.get("UDP", 0))
             scores = {
                 "byte_rate": byte_rate,
                 "flow_count": flow_count,
@@ -168,12 +146,7 @@ class Controller:
                 "baseline_byte_rate": base[0] if base else None,
             }
             hit = None
-            ppf_thresh = max(th.smurf_ppf_floor,
-                             th.smurf_ppf_multiplier * base[2]) if base else th.smurf_ppf_floor
-            if (icmp_udp > v.flows / 2 and ppf > ppf_thresh
-                    and flow_count <= th.smurf_max_flows):
-                hit = METHOD_SMURF_FRAGGLE
-            elif flow_count > th.syn_flows_per_window and ppf <= th.syn_packets_per_flow_max:
+            if flow_count > th.syn_flows_per_window and ppf <= th.syn_packets_per_flow_max:
                 hit = METHOD_SYN_FLOOD
             elif byte_rate > (th.vol_rate_multiplier * base[0] if base else th.vol_rate_floor):
                 hit = METHOD_VOLUMETRIC
@@ -183,7 +156,7 @@ class Controller:
             evidence[dst] = scores
             if hit is None:
                 self._history.setdefault(dst, []).append(
-                    (view.window_start, byte_rate, flow_count / win, ppf))
+                    (view.window_start, byte_rate, flow_count / win))
             else:
                 victims.append(dst)
                 sources.extend(v.source_ranges)
@@ -210,14 +183,12 @@ class Controller:
         agent owning a suspected source range."""
         if not assessment.detected:
             raise ValueError("make_policies requires a detected assessment")
-        mitigation = _METHOD_MITIGATION[assessment.method]
         policies: list[Policy] = []
 
         def new_policy(role, agent_id, targets):
             self._policy_seq += 1
             return Policy(policy_id=f"pol-{self._policy_seq}", target_addrs=targets,
-                          attack_method=assessment.method, role=role,
-                          mitigation=mitigation, issued_at=now,
+                          attack_method=assessment.method, role=role, issued_at=now,
                           expires_at=now + self.policy_ttl, agent_id=agent_id)
 
         dest_agents: set[str] = set()
@@ -252,7 +223,8 @@ class Controller:
                 continue
             self._dispatched[key] = p.expires_at
             fresh.append(p)
+            # every policy drops; the field stays because digests pin the log format
             self.log.append({"t": now, "kind": "policy", "policy_id": p.policy_id,
                              "agent": p.agent_id, "role": p.role,
-                             "method": p.attack_method, "mitigation": p.mitigation})
+                             "method": p.attack_method, "mitigation": DROP})
         return fresh

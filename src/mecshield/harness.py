@@ -32,7 +32,7 @@ import numpy as np
 
 from .agent import Agent, BLOCK, DROP, FORWARD, PROTECTION
 from .config import (SCHEME_CENTRALIZED, SCHEME_DISTRIBUTED, SCHEME_MECSHIELD,
-                     SCHEMES, AgentSpec, ScenarioConfig, pretrain_duration)  # noqa: F401 (re-export)
+                     AgentSpec, ScenarioConfig, host_addrs, pretrain_duration)
 from .controller import Controller
 from .errors import ConfigError
 from .features import FeatureMode, MODE_DIM, NormalizationSpec, extract, window_stats
@@ -89,7 +89,8 @@ def generate_traffic(cfg: ScenarioConfig) -> dict[str, list[FlowRecord]]:
         dur = cfg.duration - atk.start_time
         flows = gen_attack(atk.profile, dur,
                            seed=derive_seed(cfg.seed, "attack", k, cfg.attack_level),
-                           src_base=host.addr_lo + atk.src_offset + k * 1000,
+                           src_base=host_addrs(host.addr_lo, atk.profile.bot_count,
+                                               atk.src_offset, k).start,
                            t0=atk.start_time)
         for f in flows:
             for a in cfg.agents:
@@ -165,7 +166,8 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
                 pretrain_duration(share[k], atk.profile.flow_rate(), malicious=True),
                 lambda dur: gen_attack(atk.profile, dur,
                                        seed=derive_seed(cfg.seed, "pretrain-m", agent.agent_id, k),
-                                       src_base=agent.addr_lo + atk.src_offset + k * 1000),
+                                       src_base=host_addrs(agent.addr_lo, atk.profile.bot_count,
+                                                           atk.src_offset, k).start),
                 "attack")
             vectors.extend(vecs)
             labels.extend(labs)

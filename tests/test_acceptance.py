@@ -215,7 +215,7 @@ def _fuzz_agent(seed):
 
 
 def test_criterion_10_state_machine_safety():
-    from mecshield.controller import (MITIGATE_DROP, Policy, ROLE_SOURCE)
+    from mecshield.controller import (Policy, ROLE_SOURCE)
     rng = np.random.default_rng(4242)
     events = 0
     violations = 0
@@ -268,7 +268,7 @@ def test_criterion_10_state_machine_safety():
                     a.apply_policy(Policy(
                         policy_id=f"p{trial}-{step}", target_addrs=[2],
                         attack_method="app_layer_flood", role=ROLE_SOURCE,
-                        mitigation=MITIGATE_DROP, issued_at=now,
+                        issued_at=now,
                         expires_at=now + ttl, agent_id=a.agent_id),
                         now)
                     if a.mode != PROTECTION:

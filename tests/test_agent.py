@@ -6,8 +6,7 @@ import pytest
 from mecshield.agent import (Agent, AgentConfig, BLOCK, DROP, FORWARD, NORMAL,
                              PROTECTION, R_POLICY_BLOCK, R_POLICY_DROP,
                              R_SOM_MALICIOUS)
-from mecshield.controller import (MITIGATE_DROP, Policy, ROLE_DESTINATION,
-                                  ROLE_SOURCE)
+from mecshield.controller import Policy, ROLE_DESTINATION, ROLE_SOURCE
 from mecshield.som import BENIGN, MALICIOUS, SomHyperParams, SomMap
 from mecshield.traffic import FlowRecord
 
@@ -45,9 +44,9 @@ def fresh_agent(**kw):
 
 
 def make_policy(pid="pol-1", role=ROLE_SOURCE, agent="a1", issued=0.0,
-                ttl=300.0, mitigation=MITIGATE_DROP):
+                ttl=300.0):
     return Policy(policy_id=pid, target_addrs=[2], attack_method="app_layer_flood",
-                  role=role, mitigation=mitigation, issued_at=issued,
+                  role=role, issued_at=issued,
                   expires_at=issued + ttl, agent_id=agent)
 
 
@@ -171,7 +170,6 @@ def test_report_conservation():
     assert sum(d.flows for d in dests) == 10
     assert sum(d.packets for d in dests) == sum(f.packet_count for f in flows)
     assert sum(d.bytes for d in dests) == pytest.approx(sum(f.byte_count for f in flows))
-    assert sum(sum(d.protocol_counts.values()) for d in dests) == 10
     assert {dst: d.source_ranges for dst, d in rep.per_destination.items()} == {
         2: [(100, 202)], 3: [(100, 102)]}
 

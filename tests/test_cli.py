@@ -143,6 +143,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     nan, inf = float("nan"), float("inf")
     for where, value in [(("scenario", "drop_packets_max"), 3),
                          (("som", "rng_seed"), 0),
+                         (("detection", "smurf_ppf_multiplier"), 10.0),
+                         (("detection", "smurf_ppf_floor"), 500.0),
+                         (("detection", "smurf_max_flows"), 10),
                          (("scenario", "policy_ttl"), 0.0),
                          (("scenario", "base_level"), 0.0),
                          (("scenario", "attack_level"), -1.0),
@@ -169,6 +172,7 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (("scenario", "agents", 0), "sensor-net"),
                          (("scenario", "attacks", 1, "scale_with_level"), "no"),
                          (("scenario", "attacks", 1, "src_offset"), 1.7),
+                         (("scenario", "agents", 0, "profile", "device_count"), 0x10001),
                          (("schemes",), ["mecshield", "mecshield"]),
                          (("attack_levels",), [100, 100.0])]:
         doc = tiny_config_doc()

@@ -131,6 +131,19 @@ def test_attack_bots_must_sit_in_their_agents_range(k, bad, good):
     parse_config(doc)
 
 
+# every agent spans 0x10000 addresses; device d sits at addr_lo + d.
+# (agent, a device count that is rejected, the largest that is accepted)
+@pytest.mark.parametrize("i, bad, good", [(0, 0x10001, 0x10000), (1, 65600, 0x10000)])
+def test_benign_devices_must_sit_in_their_agents_range(i, bad, good):
+    doc = reference_config_dict()
+    doc["scenario"]["agents"][i]["profile"]["device_count"] = bad
+    with pytest.raises(ConfigError,
+                       match=rf"scenario\.agents\[{i}\]\.profile\.device_count: {bad} devices"):
+        parse_config(doc)
+    doc["scenario"]["agents"][i]["profile"]["device_count"] = good
+    parse_config(doc)
+
+
 def test_flow_cap_rejects_huge_levels():
     # an unbounded level used to hang the generators: `t += 1/rate` stops
     # advancing once 1/rate is below the float spacing near t

@@ -9,13 +9,14 @@ centralized verdicts that return after the run ends, policies that arrive
 after the last window, and policies that arrive exactly as a window closes
 (applied before the agents step).
 
-Two more scenarios pin paths the reference never takes: a volumetric DNS
-flood, and a victim inside monitor-net, which then gets a destination
-policy."""
+Three more scenarios pin paths the reference never takes: a volumetric DNS
+flood, a victim inside monitor-net, which then gets a destination policy,
+and monitor-net's cameras on UDP, whose few heavy flows toward one sink
+must not read as an attack."""
 import pytest
 
-from mecshield.config import parse_config, reference_config, reference_config_dict
-from mecshield.harness import SCHEMES, event_log_digest, run, run_matrix
+from mecshield.config import SCHEMES, parse_config, reference_config, reference_config_dict
+from mecshield.harness import event_log_digest, run, run_matrix
 
 GOLDEN_REF_MATRIX = {
     ("centralized", 100.0): "64e62d1e7411e9f31b891bf62e111386b3184df1caa06a00078e19741f0e8e1f",
@@ -99,7 +100,15 @@ def _inside_victim_doc() -> dict:
     return doc
 
 
-SCENARIOS = {"volumetric": _volumetric_doc, "inside-victim": _inside_victim_doc}
+def _udp_monitor_doc() -> dict:
+    doc = reference_config_dict(seed=0)
+    profile = doc["scenario"]["agents"][1]["profile"]     # monitor-net
+    profile["protocol"], profile["packets_per_flow"] = "UDP", 600.0
+    return doc
+
+
+SCENARIOS = {"volumetric": _volumetric_doc, "inside-victim": _inside_victim_doc,
+             "udp-monitor": _udp_monitor_doc}
 
 # scenario -> scheme -> digest; seed 0, level 300, 600 pretraining samples
 GOLDEN_SCENARIOS = {
@@ -112,6 +121,11 @@ GOLDEN_SCENARIOS = {
         "centralized": "a909f5359e841245e4c21c8bd66a4dba0bc1cef89ff3839fb77b660ed039a3ba",
         "distributed": "4ff004ba8dd70710ecd54a8e2093451cfe8e29273bc91244ea87df4463cef59b",
         "mecshield": "012158764114beb144548b3ca4aac3dca62c4a9a3ac90245b0591a27936333b8",
+    },
+    "udp-monitor": {
+        "centralized": "1e8565920eedd1e01d2c86b69e423693f4787ca8351f1b8e5413f10e13e30037",
+        "distributed": "d3e8f314002d2cff4d5368e20568b52fec7edddbf68429b450a6f62a84e6d1d7",
+        "mecshield": "9e9895f84e8942498435dded1a141c0c2e26f250cfe8dcb6708cf0ffa7cb72cf",
     },
 }
 
@@ -138,4 +152,13 @@ def test_scenario_digests_are_pinned(name):
                           and e["agent"] == "monitor-net"]
             assert len(classified) == 9
             assert min(classified) > 30.07
+        if name == "udp-monitor":
+            # the cameras' flows name no attack and draw no policy;
+            # only the sensor-side flood is detected, and no flow is blocked
+            assert {e["method"] for e in events
+                    if e["kind"] == "attack_detected"} == {"syn_flood"}
+            assert not any(e["kind"] == "policy" and e["agent"] == "monitor-net"
+                           for e in events)
+            assert not any(e["kind"] == "classify" and e["decision"] == "block"
+                           for e in events)
     assert got == GOLDEN_SCENARIOS[name]

