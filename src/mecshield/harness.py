@@ -132,9 +132,13 @@ def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
     return vectors[:count], labels[:count]
 
 
-def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
+def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None = None):
     """Pretraining samples for one agent: its own benign category mixed with
-    the scenario's attack shapes, shuffled deterministically."""
+    the scenario's attack shapes, shuffled deterministically.
+
+    The benign samples read only the seed and the agent of what `for_cell`
+    varies, so levels of one seed share them through `cache`, under
+    (seed, agent_id)."""
     n_mal = int(cfg.pretrain_samples * cfg.pretrain_malicious_fraction)
     n_ben = cfg.pretrain_samples - n_mal
     profile = agent.benign_profile()
@@ -150,12 +154,17 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec):
         raise ConfigError(f"could not generate {n} {what} pretraining samples "
                           f"for {agent.agent_id}")
 
-    vectors, labels = take(
-        n_ben, pretrain_duration(n_ben, profile.flow_rate(), malicious=False),
-        lambda dur: gen_benign(profile, dur,
-                               seed=derive_seed(cfg.seed, "pretrain-b", agent.agent_id),
-                               src_base=agent.addr_lo),
-        "benign")
+    cache = {} if cache is None else cache
+    key = (cfg.seed, agent.agent_id)
+    if key not in cache:
+        cache[key] = take(
+            n_ben, pretrain_duration(n_ben, profile.flow_rate(), malicious=False),
+            lambda dur: gen_benign(profile, dur,
+                                   seed=derive_seed(cfg.seed, "pretrain-b", agent.agent_id),
+                                   src_base=agent.addr_lo),
+            "benign")
+    # copies: the attack samples are appended to these lists
+    vectors, labels = (list(x) for x in cache[key])
     attacks = cfg.leveled_attacks()
     if attacks and n_mal:
         share = [n_mal // len(attacks)] * len(attacks)
@@ -196,10 +205,12 @@ def _filters(cfg: ScenarioConfig, cache: dict | None):
     controller, and its agents, which only observe, get none.  Pretraining
     reads only the seed and the level of what `for_cell` varies, so it is
     kept in `cache` under that key.  Every cell gets copies, because agents
-    and the controller keep training their maps online."""
+    and the controller keep training their maps online.  The agents' benign
+    samples, the same at every level, sit in `cache` too (see
+    `build_training_set`)."""
     entry = {} if cache is None else cache.setdefault((cfg.seed, cfg.attack_level), {})
     if "training" not in entry:
-        entry["training"] = [build_training_set(cfg, a) for a in cfg.agents]
+        entry["training"] = [build_training_set(cfg, a, cache=cache) for a in cfg.agents]
     training = entry["training"]
     if cfg.scheme == SCHEME_CENTRALIZED:
         if "central" not in entry:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,7 +52,8 @@ class FlowRecord:
     byte_count: float
     start_time: float
     end_time: float
-    packet_timestamps: list[float] = field(default_factory=list)
+    # packed float64 buffer, 8 B per packet: monitor flows hold ~500 each
+    packet_timestamps: array = field(default_factory=lambda: array("d"))
     truth_label: str = LABEL_BENIGN  # ground truth; evaluation only, never shown to classifiers
 
     def validate(self) -> None:
@@ -174,12 +176,13 @@ class AttackProfile:
         return self.bot_count * self.session_rate()
 
 
-def _packet_times(rng, start: float, dur: float, count: int) -> list[float]:
+def _packet_times(rng, start: float, dur: float, count: int) -> array:
     if count <= 0:
-        return []
+        return array("d")
     ts = rng.uniform(0.0, dur, size=count)
     ts.sort()
-    return (start + ts).tolist()
+    ts += start
+    return array("d", ts.tobytes())
 
 
 def gen_benign(profile: BenignProfile, duration: float, seed: int,
@@ -272,12 +275,12 @@ def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
         flows.append(FlowRecord(
             flow_id=f"req-{k}", src_addr=bot, dst_addr=p.amplifier_addr,
             protocol=UDP, dst_port=port, packet_count=1, byte_count=req_bytes,
-            start_time=t, end_time=t, packet_timestamps=[t],
+            start_time=t, end_time=t, packet_timestamps=array("d", (t,)),
             truth_label=LABEL_MALICIOUS))
         rsp_dst = p.target_addr if p.spoofing else bot
         rsp_pkts = max(1, int(factor))
         rsp_start = t + 0.001
-        ts = [rsp_start + 0.0001 * i for i in range(rsp_pkts)]
+        ts = array("d", [rsp_start + 0.0001 * i for i in range(rsp_pkts)])
         flows.append(FlowRecord(
             flow_id=f"rsp-{k}", src_addr=p.amplifier_addr, dst_addr=rsp_dst,
             protocol=UDP, dst_port=port, packet_count=rsp_pkts,
@@ -303,7 +306,9 @@ def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
         ts =rng.uniform(0.0, p.session_duration, size=(len(starts), pkts))
         ts.sort(axis=1)
         ts += np.array(starts)[:, None]
-        for start, row in zip(starts, ts.tolist()):
+        flat = array("d", ts.tobytes())
+        for k, start in enumerate(starts):
+            row = flat[k * pkts:(k + 1) * pkts]
             flows.append(FlowRecord(
                 flow_id=f"atk-{bot:x}-{len(flows)}", src_addr=bot,
                 dst_addr=p.target_addr, protocol=p.protocol, dst_port=p.dst_port,
@@ -364,7 +369,7 @@ def load_flow_csv(path) -> list[FlowRecord]:
         try:
             pkts = int(row[5])
             start, end = float(row[7]), float(row[8])
-            ts = np.linspace(start, end, pkts).tolist() if pkts else []
+            ts = array("d", np.linspace(start, end, pkts).tobytes())
             rec = FlowRecord(
                 flow_id=row[0], src_addr=int(row[1]), dst_addr=int(row[2]),
                 protocol=row[3].strip().upper(), dst_port=int(row[4]),

@@ -3,6 +3,7 @@ pass/fail line.  The scheme-comparison criteria share one 10-seed sweep of the
 built-in reference scenario (session fixture below), so this module takes a
 few minutes; run it with `pytest tests/test_acceptance.py -v -s`.
 """
+from array import array
 import hashlib
 import math
 import time
@@ -242,13 +243,13 @@ def test_criterion_10_state_machine_safety():
                         flows.append(FlowRecord(
                             f"m{trial}-{step}-{i}", 200 + int(rng.integers(5)),
                             2, "ICMP", 65000, 3, 600.0, t, t + 0.02,
-                            packet_timestamps=[t, t + 0.01, t + 0.02],
+                            packet_timestamps=array("d", [t, t + 0.01, t + 0.02]),
                             truth_label="malicious"))
                     else:
                         flows.append(FlowRecord(
                             f"b{trial}-{step}-{i}", 100 + int(rng.integers(5)),
                             2, "TCP", 80, 1, 60.0, t, t,
-                            packet_timestamps=[t]))
+                            packet_timestamps=array("d", [t])))
                 mode_before = a.mode
                 verdicts, _ = a.ingest(flows, now + 5.0)
                 now += 5.0

@@ -1,5 +1,7 @@
 """Agent state-machine tests: filtering verdicts, protection transitions,
 policy handling, reports, and a fuzzed interleaving safety check."""
+from array import array
+
 import numpy as np
 import pytest
 
@@ -26,11 +28,11 @@ def labeled_map(dim=5):
 
 def benign_flow(i, t, src=100, dst=2):
     return FlowRecord(f"b{i}", src, dst, "TCP", 80, 1, 60.0, t, t,
-                      packet_timestamps=[t])
+                      packet_timestamps=array("d", [t]))
 
 
 def malicious_flow(i, t, src=200, pkts=5, dst=2):
-    ts = [t + 0.01 * k for k in range(pkts)]
+    ts = array("d", [t + 0.01 * k for k in range(pkts)])
     return FlowRecord(f"m{i}", src, dst, "ICMP", 65000, pkts, 6000.0, t, ts[-1],
                       packet_timestamps=ts, truth_label="malicious")
 

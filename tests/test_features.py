@@ -1,4 +1,6 @@
 """Feature extraction tests: protocol encoding, normalization, contiguity."""
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ def flow(flow_id="f", src=1, dst=2, protocol="TCP", port=80, pkts=1,
     if end is None:
         end = ts[-1] if ts else start
     return FlowRecord(flow_id, src, dst, protocol, port, pkts, byte_count,
-                      start, end, packet_timestamps=ts)
+                      start, end, packet_timestamps=array("d", ts))
 
 
 def test_mode_dims():
@@ -143,8 +145,12 @@ def windows_and_timestamps(draw):
 @given(windows_and_timestamps())
 def test_contiguity_matches_per_packet_loop(case):
     ts, window, quantum = case
-    f = flow(pkts=len(ts), ts=ts, start=ts[0] if ts else 0.0)
-    assert contiguity(f, window, quantum) == _contiguity_per_packet(ts, window, quantum)
+    expected = _contiguity_per_packet(ts, window, quantum)
+    # the packed buffer flows carry, and a plain list of the same floats
+    for packed in (array("d", ts), ts):
+        f = flow(pkts=len(ts), start=ts[0] if ts else 0.0)
+        f.packet_timestamps = packed
+        assert contiguity(f, window, quantum) == expected
 
 
 def test_extract_destination_tuple():

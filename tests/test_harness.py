@@ -4,6 +4,7 @@ import copy
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,46 @@ def test_training_set_fraction_and_determinism():
     assert all((x == y).all() for x, y in zip(v1, v2))
     mal = sum(1 for x in l1 if x == "malicious")
     assert mal == int(cfg.pretrain_samples * cfg.pretrain_malicious_fraction)
+
+
+def test_levels_of_one_seed_share_benign_samples(monkeypatch):
+    cfg = tiny_cfg()
+    a = cfg.agents[0]
+    levels = (50.0, 300.0)
+    fresh = [build_training_set(cfg.for_cell("mecshield", lv), a) for lv in levels]
+    cache = {}
+    shared = [build_training_set(cfg.for_cell("mecshield", lv), a, cache=cache)
+              for lv in levels]
+    for (v1, l1), (v2, l2) in zip(fresh, shared):
+        assert l1 == l2
+        assert all((x == y).all() for x, y in zip(v1, v2))
+    # the cached benign samples took none of the attack samples appended
+    _, labs = cache[(cfg.seed, a.agent_id)]
+    n_mal = int(cfg.pretrain_samples * cfg.pretrain_malicious_fraction)
+    assert labs == ["benign"] * (cfg.pretrain_samples - n_mal)
+
+    def no_benign(*args, **kwargs):
+        raise AssertionError("benign flows generated again")
+
+    monkeypatch.setattr(harness, "gen_benign", no_benign)
+    vecs, _ = build_training_set(cfg.for_cell("mecshield", 100.0), a, cache=cache)
+    assert len(vecs) == cfg.pretrain_samples
+
+
+def test_monitor_training_set_memory_peak():
+    # monitor-net's ~500-packet flows set the pretraining memory peak: with
+    # timestamps packed 8 B per packet it is about 9 MiB here, against 29 MiB
+    # when each was a Python float in a list
+    cfg = reference_config().scenario_for("mecshield", 300.0, seed=0)
+    cfg.pretrain_samples = 2000
+    agent = next(a for a in cfg.agents if a.agent_id == "monitor-net")
+    tracemalloc.start()
+    try:
+        build_training_set(cfg, agent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
 
 
 def test_flows_to_samples_count_keeps_the_first_samples():
@@ -281,9 +322,9 @@ def test_run_matrix_pretrains_once_and_matches_separate_runs(monkeypatch):
     calls = []
     build = harness.build_training_set
 
-    def counting(c, agent):
+    def counting(c, agent, **kw):
         calls.append((agent.agent_id, c.attack_level))
-        return build(c, agent)
+        return build(c, agent, **kw)
 
     monkeypatch.setattr(harness, "build_training_set", counting)
     rows, _ = run_matrix(cfg, list(SCHEMES), levels)

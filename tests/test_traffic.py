@@ -1,4 +1,8 @@
 """Traffic generator and CSV ingestion tests."""
+import hashlib
+from array import array
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,22 +17,25 @@ from mecshield.traffic import (ALARM, AMPLIFICATION, APP_LAYER_MODES, AttackProf
 
 def test_flow_record_validation():
     ok = FlowRecord("f", 1, 2, "TCP", 80, 2, 100.0, 0.0, 1.0,
-                    packet_timestamps=[0.0, 1.0])
+                    packet_timestamps=array("d", [0.0, 1.0]))
     ok.validate()
+    FlowRecord("f", 1, 2, "TCP", 80, 0, 0.0, 0.0, 0.0).validate()
     bad = [
         dict(protocol="FOO"),
         dict(dst_port=70000),
-        dict(packet_count=-1, packet_timestamps=[]),
+        dict(packet_count=-1, packet_timestamps=array("d")),
         dict(start_time=2.0),
-        dict(packet_timestamps=[0.5]),           # count mismatch
-        dict(packet_timestamps=[1.0, 0.0]),      # unsorted
+        dict(packet_timestamps=array("d", [0.5])),            # count mismatch
+        dict(packet_timestamps=array("d", [1.0, 0.0])),       # unsorted
+        dict(packet_timestamps=array("d", [-0.5, 1.0])),      # before start_time
+        dict(packet_timestamps=array("d", [0.0, 1.5])),       # after end_time
         dict(truth_label="unknown"),
     ]
     for kw in bad:
         base = dict(flow_id="f", src_addr=1, dst_addr=2, protocol="TCP",
                     dst_port=80, packet_count=2, byte_count=100.0,
                     start_time=0.0, end_time=1.0,
-                    packet_timestamps=[0.0, 1.0], truth_label=LABEL_BENIGN)
+                    packet_timestamps=array("d", [0.0, 1.0]), truth_label=LABEL_BENIGN)
         base.update(kw)
         with pytest.raises(ValueError):
             FlowRecord(**base).validate()
@@ -243,9 +250,43 @@ def test_app_layer_flows_equal_one_draw_per_session(
                       session_duration=session_duration, burst_size=burst_size,
                       burst_interval=burst_interval)
     flows = gen_attack(p, duration, seed=seed, src_base=0xC6000010, t0=t0)
-    assert [[f.flow_id, f.src_addr, f.start_time, f.end_time, f.packet_timestamps,
+    assert [[f.flow_id, f.src_addr, f.start_time, f.end_time, list(f.packet_timestamps),
              f.packet_count, f.byte_count] for f in flows] == \
         _app_layer_one_draw_per_session(p, duration, seed, 0xC6000010, t0)
+
+
+# sha256 of repr([list(ts) for each flow]) as the generators gave them when
+# timestamps were Python float lists: repr round-trips every float exactly
+LIST_PATH_TIMESTAMPS = {
+    "sensor": "008396a5bc8f5a28b9d747f040105734aa28318b68b18b868eb443f55125d51f",
+    "monitor": "dd7c8e8fe001dadb40703817baab356e361c62fec6b4b74deffb70dc153348f8",
+    "alarm": "877a1724483d6f08bf8d32f1c3f8cb3c4aa222a36551cbc1dfa2afc2d408d519",
+    "volumetric": "55f45df3bfdbb478199ac1da887567d1750e9e9390e13d4a09ee71653b635858",
+    "app_layer": "343977df932b7a5f500561dc2affe90d1cd36bc8300c15321ae9526e9b3d87c4",
+    "csv": "2b98580e56e27b9051dcb18ab3bf359fecbb3062379a72f2fb1f4d7813800d2a",
+}
+
+
+@pytest.mark.parametrize("source", sorted(LIST_PATH_TIMESTAMPS))
+def test_timestamps_are_packed_and_equal_the_list_path(source):
+    make = {
+        "sensor": lambda: gen_benign(default_benign_profile(SENSOR), 120.0, seed=9),
+        "monitor": lambda: gen_benign(default_benign_profile(MONITOR), 120.0, seed=9),
+        "alarm": lambda: gen_benign(default_benign_profile(ALARM), 120.0, seed=9),
+        "volumetric": lambda: gen_attack(AttackProfile("volumetric", "dns", target_addr=3,
+                                                       bot_count=2), 10.0, seed=5),
+        "app_layer": lambda: gen_attack(AttackProfile("app_layer", "session_flood",
+                                                      target_addr=1, bot_count=3), 30.0, seed=12),
+        "csv": lambda: load_flow_csv(Path(__file__).parent / "data" / "caida_mix.csv"),
+    }
+    flows = make[source]()
+    assert flows
+    for f in flows:
+        ts = f.packet_timestamps
+        assert type(ts) is array and ts.typecode == "d"
+        assert type(f.end_time) is float
+    got = repr([list(f.packet_timestamps) for f in flows])
+    assert hashlib.sha256(got.encode()).hexdigest() == LIST_PATH_TIMESTAMPS[source]
 
 
 def test_attack_labels_and_determinism():
