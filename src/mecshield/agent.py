@@ -37,9 +37,7 @@ class DestinationStats:
     """Traffic toward one destination: one agent's window, or the
     controller's sum over the window's reports."""
     flows: int = 0
-    bytes: float = 0.0
     packets: int = 0
-    source_ranges: list = field(default_factory=list)   # (lo, hi) per reporting agent
 
 
 @dataclass
@@ -196,15 +194,10 @@ class Agent:
         if stats is None:
             stats = WindowStats(0.0, self.config.window_length)
         per_dst: dict[int, DestinationStats] = {}
-        srcs: dict[int, list[int]] = {}
         for f in self._window_flows:
             d = per_dst.setdefault(f.dst_addr, DestinationStats())
             d.flows += 1
-            d.bytes += f.byte_count
             d.packets += f.packet_count
-            srcs.setdefault(f.dst_addr, []).append(f.src_addr)
-        for dst, d in per_dst.items():
-            d.source_ranges.append((min(srcs[dst]), max(srcs[dst])))
         return TrafficReport(agent_id=self.agent_id, window_start=stats.window_start,
                              window_length=stats.window_length, per_destination=per_dst)
 

@@ -86,7 +86,6 @@ class ScenarioConfig(AgentConfig):
     scheme: str = field(default=SCHEME_MECSHIELD, metadata={"key": None})
     attack_level: float = field(default=50.0, metadata={"key": None})
     base_level: float = 50.0          # level at which profile rates are quoted
-    level_rate_unit: float = 0.0      # offered bytes/s per level unit; 0 = no byte rescale
     duration: float = 60.0
     link_delay: float = 0.01
     analysis_delay: float = 0.05
@@ -210,8 +209,6 @@ class ScenarioConfig(AgentConfig):
                     p.requests_per_bot_per_s *= factor
                 else:
                     p.base_session_rate *= factor
-                if self.level_rate_unit > 0:
-                    p.offered_rate = self.level_rate_unit * self.attack_level
             out.append(replace(spec, profile=p))
         return out
 

@@ -268,7 +268,7 @@ def test_criterion_10_state_machine_safety():
                     ttl = float(rng.uniform(5.0, 60.0))
                     a.apply_policy(Policy(
                         policy_id=f"p{trial}-{step}", target_addrs=[2],
-                        attack_method="app_layer_flood", role=ROLE_SOURCE,
+                        attack_method="syn_flood", role=ROLE_SOURCE,
                         issued_at=now,
                         expires_at=now + ttl, agent_id=a.agent_id),
                         now)

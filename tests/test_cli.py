@@ -146,6 +146,11 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (("detection", "smurf_ppf_multiplier"), 10.0),
                          (("detection", "smurf_ppf_floor"), 500.0),
                          (("detection", "smurf_max_flows"), 10),
+                         (("detection", "vol_rate_multiplier"), 10.0),
+                         (("detection", "vol_rate_floor"), 1e6),
+                         (("detection", "app_rate_multiplier"), 10.0),
+                         (("detection", "baseline_horizon"), 60.0),
+                         (("scenario", "level_rate_unit"), 1000.0),
                          (("scenario", "policy_ttl"), 0.0),
                          (("scenario", "base_level"), 0.0),
                          (("scenario", "attack_level"), -1.0),

@@ -1,13 +1,16 @@
-"""Controller tests: report aggregation, threshold detection rules, policy
-generation and dispatch dedup."""
+"""Controller tests: report aggregation, the SYN-shape detection rule, policy
+generation and dispatch dedup, and what a run names for each attack sub-mode."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecshield.agent import DestinationStats, TrafficReport
+from mecshield.config import parse_config, reference_config_dict
 from mecshield.controller import (AttackAssessment, Controller,
-                                  DetectionThresholds, METHOD_APP_LAYER,
-                                  METHOD_SYN_FLOOD, METHOD_VOLUMETRIC, Policy,
+                                  DetectionThresholds, METHOD_SYN_FLOOD, Policy,
                                   ROLE_DESTINATION, ROLE_SOURCE)
+from mecshield.harness import run
+from mecshield.traffic import APP_LAYER_MODES
 
 TOPOLOGY = {
     "a": [(0x0A000000, 0x0A00FFFF)],
@@ -18,29 +21,27 @@ VICTIM = 0x0A020042
 
 
 def report(agent="a", start=0.0, dests=None, win=5.0):
-    per_dst = {dst: DestinationStats(flows=flows, bytes=bytes_, packets=packets,
-                                     source_ranges=[(0x0A000001, 0x0A000005)])
-               for dst, (flows, bytes_, packets) in (dests or {}).items()}
+    per_dst = {dst: DestinationStats(flows=flows, packets=packets)
+               for dst, (flows, packets) in (dests or {}).items()}
     return TrafficReport(agent_id=agent, window_start=start, window_length=win,
                          per_destination=per_dst)
 
 
 def test_collect_sums_across_agents():
     c = Controller(TOPOLOGY)
-    r1 = report("a", dests={VICTIM: (10, 1000.0, 30)})
-    r2 = report("b", dests={VICTIM: (5, 500.0, 15)})
+    r1 = report("a", dests={VICTIM: (10, 30)})
+    r2 = report("b", dests={VICTIM: (5, 15)})
     view = c.collect([r1, r2])
     v = view.per_destination[VICTIM]
     assert v.flows == 15
-    assert v.bytes == 1500.0
     assert v.packets == 45
-    assert v.source_ranges == [(0x0A000001, 0x0A000005)] * 2
+    assert view.reporters == {VICTIM: {"a", "b"}}
     assert c.work_units == 2
 
 
 def test_collect_dedups_duplicate_windows():
     c = Controller(TOPOLOGY)
-    r = report("a", start=10.0, dests={VICTIM: (3, 100.0, 6)})
+    r = report("a", start=10.0, dests={VICTIM: (3, 6)})
     view = c.collect([r, r])
     assert view.per_destination[VICTIM].flows == 3
     assert c.warnings and "duplicate" in c.warnings[0]
@@ -54,83 +55,31 @@ def test_collect_empty():
 
 def test_analyze_clean_view_not_detected():
     c = Controller(TOPOLOGY)
-    view = c.collect([report("a", dests={VICTIM: (10, 2000.0, 50)})])
+    view = c.collect([report("a", dests={VICTIM: (10, 50)})])
     a = c.analyze(view)
     assert not a.detected
-
-
-def test_analyze_volumetric_rule():
-    th = DetectionThresholds(vol_rate_floor=1e6)
-    c = Controller(TOPOLOGY, thresholds=th)
-    view = c.collect([report("a", dests={VICTIM: (10, 1e8, 50)})])
-    a = c.analyze(view)
-    assert a.detected and a.method == METHOD_VOLUMETRIC
-    assert a.victim_addrs == [VICTIM]
-    assert a.suspected_source_ranges
-
-
-def test_analyze_volumetric_baseline_multiplier():
-    th = DetectionThresholds(vol_rate_multiplier=10.0, vol_rate_floor=1e12)
-    c = Controller(TOPOLOGY, thresholds=th)
-    # two clean windows establish a 200 B/s baseline
-    for w in range(2):
-        view = c.collect([report("a", start=5.0 * w,
-                                 dests={VICTIM: (10, 1000.0, 50)})])
-        assert not c.analyze(view).detected
-    view = c.collect([report("a", start=10.0,
-                             dests={VICTIM: (10, 15000.0, 50)})])
-    a = c.analyze(view)
-    assert a.detected and a.method == METHOD_VOLUMETRIC
 
 
 def test_analyze_syn_flood_rule():
     th = DetectionThresholds(syn_flows_per_window=500)
     c = Controller(TOPOLOGY, thresholds=th)
-    view = c.collect([report("a", dests={VICTIM: (10000, 1e4, 10000)})])
+    view = c.collect([report("a", dests={VICTIM: (10000, 10000)})])
     a = c.analyze(view)
     assert a.detected and a.method == METHOD_SYN_FLOOD
-
-
-def test_analyze_app_layer_rule():
-    th = DetectionThresholds(app_rate_multiplier=10.0, vol_rate_floor=1e12,
-                             syn_flows_per_window=1e9)
-    c = Controller(TOPOLOGY, thresholds=th)
-    for w in range(3):
-        view = c.collect([report("a", start=5.0 * w,
-                                 dests={VICTIM: (10, 1000.0, 100)})])
-        assert not c.analyze(view).detected
-    view = c.collect([report("a", start=15.0,
-                             dests={VICTIM: (500, 5000.0, 5000)})])
-    a = c.analyze(view)
-    assert a.detected and a.method == METHOD_APP_LAYER
-
-
-def test_analyze_monotone_under_added_volume():
-    th = DetectionThresholds(vol_rate_floor=1e6)
-    c1 = Controller(TOPOLOGY, thresholds=th)
-    c2 = Controller(TOPOLOGY, thresholds=th)
-    base = {VICTIM: (10, 1e7, 50)}
-    doubled = {VICTIM: (20, 2e7, 100)}
-    a1 = c1.analyze(c1.collect([report("a", dests=base)]))
-    a2 = c2.analyze(c2.collect([report("a", dests=doubled)]))
-    assert a1.detected and a2.detected
-
-
-def test_flagged_windows_do_not_feed_baseline():
-    th = DetectionThresholds(vol_rate_floor=1e6)
-    c = Controller(TOPOLOGY, thresholds=th)
-    for w in range(5):
-        view = c.collect([report("a", start=5.0 * w,
-                                 dests={VICTIM: (10, 1e8, 50)})])
-        assert c.analyze(view).detected    # attack volume never becomes normal
+    assert a.victim_addrs == [VICTIM] and a.source_agents == ["a"]
+    # both bounds: more than syn_flows_per_window flows, at most
+    # syn_packets_per_flow_max packets per flow on average
+    for flows, packets, flagged in [(501, 1503, True), (500, 1500, False),
+                                    (501, 1504, False)]:
+        c = Controller(TOPOLOGY, thresholds=th)
+        assert c.analyze(c.collect([report("a", dests={VICTIM: (flows, packets)})])
+                         ).detected == flagged
 
 
 def test_make_policies_topology_roles():
     c = Controller(TOPOLOGY)
     a = AttackAssessment(detected=True, method=METHOD_SYN_FLOOD,
-                         victim_addrs=[VICTIM],
-                         suspected_source_ranges=[(0x0A000001, 0x0A000005),
-                                                  (0x0A010001, 0x0A010002)])
+                         victim_addrs=[VICTIM], source_agents=["a", "b"])
     policies = c.make_policies(a, now=10.0)
     roles = {(p.agent_id, p.role) for p in policies}
     assert roles == {("c", ROLE_DESTINATION), ("a", ROLE_SOURCE),
@@ -145,21 +94,10 @@ def test_make_policies_requires_detected():
         c.make_policies(AttackAssessment(detected=False), now=0.0)
 
 
-def test_partial_coverage_warning():
-    c = Controller(TOPOLOGY)
-    a = AttackAssessment(detected=True, method=METHOD_VOLUMETRIC,
-                         victim_addrs=[VICTIM],
-                         suspected_source_ranges=[(0xDEAD0000, 0xDEADFFFF)])
-    policies = c.make_policies(a, 0.0)
-    assert all(p.role == ROLE_DESTINATION for p in policies)
-    assert any("partial coverage" in w for w in c.warnings)
-
-
 def test_dispatch_dedups_repeat_assessments():
     c = Controller(TOPOLOGY, policy_ttl=100.0)
     a = AttackAssessment(detected=True, method=METHOD_SYN_FLOOD,
-                         victim_addrs=[VICTIM],
-                         suspected_source_ranges=[(0x0A000001, 0x0A000005)])
+                         victim_addrs=[VICTIM], source_agents=["a"])
     first = c.dispatch(a, now=0.0)
     assert len(first) == 2
     assert c.dispatch(a, now=10.0) == []          # still covered
@@ -179,17 +117,116 @@ def test_collect_fuzzed_totals_match():
     rng = np.random.default_rng(7)
     for _ in range(30):
         c = Controller(TOPOLOGY)
-        reports, want_flows, want_bytes = [], 0, 0.0
+        reports, want_flows, want_packets = [], 0, 0
         for i, agent in enumerate(["a", "b", "c"]):
             dests = {}
             for dst in rng.choice([1, 2, 3], size=rng.integers(1, 4),
                                   replace=False):
                 flows = int(rng.integers(1, 50))
-                byts = float(rng.uniform(10, 1e4))
-                dests[int(dst)] = (flows, byts, flows * 2)
+                dests[int(dst)] = (flows, flows * 2)
                 want_flows += flows
-                want_bytes += byts
+                want_packets += flows * 2
             reports.append(report(agent, dests=dests))
         view = c.collect(reports)
         assert sum(v.flows for v in view.per_destination.values()) == want_flows
-        assert sum(v.bytes for v in view.per_destination.values()) == pytest.approx(want_bytes)
+        assert sum(v.packets for v in view.per_destination.values()) == want_packets
+
+
+# destinations: one host in each agent's range, and two outside every range
+DESTS = [0x0A000007, 0x0A010007, VICTIM, 0xD0000001, 0x08080808]
+# one window's reports: agent -> dst -> (flows, packets), at least one packet a flow
+window_reports = st.dictionaries(
+    st.sampled_from(sorted(TOPOLOGY)),
+    st.dictionaries(st.sampled_from(DESTS),
+                    st.integers(1, 400).flatmap(
+                        lambda n: st.tuples(st.just(n), st.one_of(
+                            st.sampled_from([n, 3 * n, 3 * n + 1]),
+                            st.integers(n, 6 * n)))),
+                    min_size=1),
+    min_size=1)
+
+
+def _assess(reps: dict):
+    c = Controller(TOPOLOGY, thresholds=DetectionThresholds(syn_flows_per_window=500))
+    return c, c.analyze(c.collect([report(agent, dests=d) for agent, d in sorted(reps.items())]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_reports)
+def test_analyze_flags_exactly_the_syn_shape(reps):
+    _, a = _assess(reps)
+    th = DetectionThresholds(syn_flows_per_window=500)
+    want = []
+    for dst in DESTS:
+        flows = sum(d[dst][0] for d in reps.values() if dst in d)
+        packets = sum(d[dst][1] for d in reps.values() if dst in d)
+        if flows > th.syn_flows_per_window and packets <= th.syn_packets_per_flow_max * flows:
+            want.append(dst)
+    assert a.detected == bool(want)
+    assert a.victim_addrs == sorted(want)
+    assert a.method == (METHOD_SYN_FLOOD if want else "unknown")
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_reports, st.sampled_from(sorted(TOPOLOGY)), st.sampled_from(DESTS),
+       st.integers(1, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 3 * n))))
+def test_added_short_flows_never_unflag(reps, agent, dst, extra):
+    """Flows of at most syn_packets_per_flow_max packets, added anywhere,
+    keep every flagged destination flagged."""
+    _, before = _assess(reps)
+    more = {k: dict(v) for k, v in reps.items()}
+    flows, packets = more.setdefault(agent, {}).get(dst, (0, 0))
+    more[agent][dst] = (flows + extra[0], packets + extra[1])
+    _, after = _assess(more)
+    assert set(before.victim_addrs) <= set(after.victim_addrs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_reports)
+def test_policies_go_to_victim_owners_and_reporting_agents(reps):
+    c, a = _assess(reps)
+    if not a.detected:
+        return
+    policies = c.make_policies(a, now=10.0)
+    owners = {agent for agent, ranges in TOPOLOGY.items() for v in a.victim_addrs
+              for lo, hi in ranges if lo <= v <= hi}
+    reporters = {agent for agent, d in reps.items()
+                 if any(v in d for v in a.victim_addrs)}
+    assert {p.agent_id for p in policies if p.role == ROLE_DESTINATION} == owners
+    assert sorted(p.agent_id for p in policies if p.role == ROLE_SOURCE) == sorted(reporters)
+    assert all(p.target_addrs == a.victim_addrs for p in policies)
+    assert len({p.policy_id for p in policies}) == len(policies)
+
+
+# sub-mode -> (method named, victim) on sensor-net with 20 bots from 25 s, at
+# levels 50 and 300: every shape of few packets per flow reads as syn_flood,
+# an amplification names the reflector its requests reach, and request_flood
+# (20 packets per flow) is never named at all
+NAMED = {("dns", True): (METHOD_SYN_FLOOD, 0x08080808),
+         ("ntp", True): (METHOD_SYN_FLOOD, 0x08080808),
+         ("ssdp", True): (METHOD_SYN_FLOOD, 0x08080808),
+         ("dns", False): (METHOD_SYN_FLOOD, 0x08080808),
+         ("session_flood", True): (METHOD_SYN_FLOOD, 0xD0000001),
+         ("request_flood", True): None,
+         ("asymmetric", True): (METHOD_SYN_FLOOD, 0xD0000001)}
+
+
+@pytest.mark.parametrize("sub_mode,spoofing", sorted(NAMED))
+def test_detection_names_each_sub_mode(sub_mode, spoofing):
+    attack = {"agent": "sensor-net", "start_time": 25.0, "target_addr": 0xD0000001,
+              "bot_count": 20, "sub_mode": sub_mode, "spoofing": spoofing}
+    if sub_mode in APP_LAYER_MODES:
+        attack["scenario"] = "app_layer"
+    else:
+        attack.update(scenario="volumetric", requests_per_bot_per_s=2)
+    doc = reference_config_dict(seed=0)
+    doc["scenario"]["attacks"] = [attack]
+    doc["scenario"]["pretrain_samples"] = 600
+    rc = parse_config(doc)
+    cache: dict = {}
+    for level in (50, 300):
+        _, events = run(rc.scenario_for("mecshield", level), cache=cache)
+        named = {(e["method"], v) for e in events if e["kind"] == "attack_detected"
+                 for v in e["victims"]}
+        want = NAMED[sub_mode, spoofing]
+        assert named == ({want} if want else set()), level
