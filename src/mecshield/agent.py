@@ -44,7 +44,6 @@ class DestinationStats:
 class TrafficReport:
     agent_id: str
     window_start: float
-    window_length: float
     per_destination: dict                   # dst_addr -> DestinationStats
 
 
@@ -82,7 +81,7 @@ class Agent:
         self.work_units = 0
         self.log = log if log is not None else []
         self._window_flows: list[FlowRecord] = []
-        self._window_stats: WindowStats | None = None
+        self._window_start = 0.0
 
     def _log(self, t: float, kind: str, **fields) -> None:
         self.log.append({"t": t, "agent": self.agent_id, "kind": kind, **fields})
@@ -96,12 +95,12 @@ class Agent:
         return self.active_policy is not None and self.active_policy.expires_at > now
 
     def _intake(self, flows: list[FlowRecord], now: float) -> WindowStats:
-        """Count one window's flows and keep them, with their statistics,
+        """Count one window's flows and keep them, with the window's start,
         for the report."""
         cfg = self.config
         stats = window_stats(flows, now - cfg.window_length, cfg.window_length)
         self._window_flows = list(flows)
-        self._window_stats = stats
+        self._window_start = stats.window_start
         self.flows_processed += len(flows)
         return stats
 
@@ -190,16 +189,13 @@ class Agent:
 
     def make_report(self) -> TrafficReport:
         """Per-destination statistics of the last ingested window."""
-        stats = self._window_stats
-        if stats is None:
-            stats = WindowStats(0.0, self.config.window_length)
         per_dst: dict[int, DestinationStats] = {}
         for f in self._window_flows:
             d = per_dst.setdefault(f.dst_addr, DestinationStats())
             d.flows += 1
             d.packets += f.packet_count
-        return TrafficReport(agent_id=self.agent_id, window_start=stats.window_start,
-                             window_length=stats.window_length, per_destination=per_dst)
+        return TrafficReport(agent_id=self.agent_id, window_start=self._window_start,
+                             per_destination=per_dst)
 
     def apply_policy(self, policy, now: float) -> None:
         """Install a controller directive: activate protection, filtering with

@@ -1,11 +1,12 @@
 """Self-organizing map with online training, neuron labeling and map merging.
 
-Neurons live on a 2-D lattice stored row-major; weight vectors stay inside
+Neurons live on a 2-D lattice, numbered row-major; weight vectors stay inside
 [0,1]^dim: `init_map` draws them there, `from_dict` checks it, merging takes
 convex means, and every update is a convex move toward a normalized sample.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,31 +25,54 @@ class UnlabeledMapError(RuntimeError):
     """Raised when a classification is requested from a map with no labeled neurons."""
 
 
-def _sq_dists(vectors: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from each of k vectors to each of n points,
-    shape (k, n).  Every winner search compares these (argmin-equivalent to
-    the true distances)."""
-    d = vectors[:, None, :] - points[None, :, :]
-    return np.einsum("kij,kij->ki", d, d)
+def _sq_dists(vectors: np.ndarray, points_t: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each vector (shape (..., dim)) to each
+    of n points stored column-major (shape (dim, n)), shape (..., n).  Every
+    winner search compares these (argmin-equivalent to the true distances).
+    Each distance sums its dim squared differences in order,
+    ((p0 + p1) + p2) + ..., over runs of n contiguous elements, so a single
+    vector and a batch row get the same bits."""
+    d = points_t - vectors[..., None]
+    d *= d
+    return d.sum(axis=-2)
 
 
-_LATTICE_SQ: dict[tuple[int, int], np.ndarray] = {}
+class _Neighbours:
+    """Every neuron ordered by squared lattice distance from each winner,
+    for one lattice shape, shared by every map of that shape.
+
+    Row j of `order` lists the neurons by distance from neuron j (ties in
+    index order), and row j of `d2` holds those sorted distances: whole
+    numbers, held exactly in float64.  A row is filled the first time its
+    neuron wins; a 20x20 lattice's full tables take 1.25 MiB (`d2`) plus
+    320 KiB (`order`, uint16)."""
+
+    def __init__(self, width: int, height: int):
+        n = width * height
+        self.width = width
+        self.order = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+        self.d2 = np.empty((n, n), dtype=np.float64)
+        self._built = bytearray(n)
+
+    def within(self, win: int, s2: float) -> tuple[np.ndarray, np.ndarray]:
+        """The neurons within squared lattice distance s2 of neuron win,
+        nearest first, and their squared distances."""
+        if not self._built[win]:
+            rows, cols = np.divmod(np.arange(len(self._built)), self.width)
+            r, c = divmod(win, self.width)
+            d2 = (rows - r) ** 2 + (cols - c) ** 2
+            order = np.argsort(d2, kind="stable")
+            self.order[win] = order
+            self.d2[win] = d2[order]
+            self._built[win] = 1
+        d2 = self.d2[win]
+        k = d2.searchsorted(s2, "right")
+        return self.order[win, :k], d2[:k]
 
 
-def _lattice_sq_dists(width: int, height: int) -> np.ndarray:
-    """Read-only table of squared lattice distances between every two neurons,
-    shape (n, n): 625 KiB for 20x20.  Built once per lattice shape and
-    shared by every map of that shape, copies included.  The distances are
-    whole numbers, so int32 holds them exactly and they convert to the same
-    float64 values in arithmetic."""
-    table = _LATTICE_SQ.get((width, height))
-    if table is None:
-        rows, cols = np.divmod(np.arange(width * height), width)
-        coords = np.stack([rows, cols], axis=1)
-        table = _sq_dists(coords, coords).astype(np.int32)
-        table.flags.writeable = False
-        _LATTICE_SQ[(width, height)] = table
-    return table
+@functools.cache
+def _neighbours(width: int, height: int) -> _Neighbours:
+    return _Neighbours(width, height)
 
 
 @dataclass
@@ -61,8 +85,9 @@ class SomHyperParams:
     def __post_init__(self):
         if not (0.0 < self.initial_learning_rate <= 1.0):
             raise ValueError(f"initial_learning_rate must be in (0,1], got {self.initial_learning_rate}")
-        if self.initial_radius <= 0.0:
-            raise ValueError(f"initial_radius must be > 0, got {self.initial_radius}")
+        # an infinite radius times an underflowed decay would be NaN
+        if not (0.0 < self.initial_radius < math.inf):
+            raise ValueError(f"initial_radius must be positive and finite, got {self.initial_radius}")
         if not (self.lr_decay_constant > 0.0 and math.isfinite(self.lr_decay_constant)):
             raise ValueError(f"lr_decay_constant must be positive and finite, got {self.lr_decay_constant}")
         if not (self.radius_decay_constant > 0.0 and math.isfinite(self.radius_decay_constant)):
@@ -80,6 +105,9 @@ class SomMap:
 
     Single-writer: training mutates the map in place; classification is
     read-only.  Neuron index j maps to lattice position (j // width, j % width).
+    The codebook is stored column-major, one contiguous row of n values per
+    weight dimension, so each step's arithmetic runs over n elements at a
+    time; `weights` is its (n, dim) view.
     """
 
     def __init__(self, width: int, height: int, dim: int, weights: np.ndarray,
@@ -89,7 +117,8 @@ class SomMap:
         self.width = width
         self.height = height
         self.dim = dim
-        self.weights = np.asarray(weights, dtype=np.float64).reshape(n, dim)
+        self._wt = np.array(np.asarray(weights, dtype=np.float64).reshape(n, dim).T,
+                            order="C")
         self.labels = np.full(n, UNLABELED, dtype="<U9") if labels is None else np.asarray(labels, dtype="<U9")
         self.hit_counts = np.zeros(n, dtype=np.int64) if hit_counts is None else np.asarray(hit_counts, dtype=np.int64)
         self.benign_wins = np.zeros(n, dtype=np.int64) if benign_wins is None else np.asarray(benign_wins, dtype=np.int64)
@@ -99,6 +128,12 @@ class SomMap:
     @property
     def neuron_count(self) -> int:
         return self.width * self.height
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (n, dim) codebook, row j neuron j's weight vector: a view, so
+        writes through it reach the map."""
+        return self._wt.T
 
     # -- lookup ------------------------------------------------------------
 
@@ -117,10 +152,8 @@ class SomMap:
         return self._winner(self._check_vector(v))
 
     def _winner(self, v: np.ndarray) -> int:
-        """`find_winner` for a vector already checked: the same bits as
-        `_sq_dists(v[None, :], self.weights)[0]`, without the batch axis."""
-        d = self.weights - v
-        return int(np.einsum("ij,ij->i", d, d).argmin())
+        """`find_winner` for a vector already checked."""
+        return int(_sq_dists(v, self._wt).argmin())
 
     # -- training ----------------------------------------------------------
 
@@ -139,24 +172,24 @@ class SomMap:
         sigma = hp.radius(self.epoch)
         win = self._winner(v) if winner is None else winner
         s2 = sigma * sigma
+        wt = self._wt
         # convex moves; the clips only guard against ulp-level overshoot at
-        # 0/1, and the rows that do not move already lie in [0,1].  The
+        # 0/1, and the neurons that do not move already lie in [0,1].  The
         # ndarray method skips the np.clip wrapper and gives the same bits.
         if s2 < 1.0:
             # lattice distances are whole numbers, so the neighborhood is the
             # winner alone, at weight exp(-0) = 1 (also once s2 underflows to
             # 0, where exp(-0/0) would be NaN): the same bits as the mask path
-            row = self.weights[win]         # a view: updates the map in place
-            row += alpha * (v - row)
-            row.clip(0.0, 1.0, out=row)
+            col = wt[:, win]                # a view: updates the map in place
+            col += alpha * (v - col)
+            col.clip(0.0, 1.0, out=col)
         else:
-            d2_row = _lattice_sq_dists(self.width, self.height)[win]
-            near = np.flatnonzero(d2_row <= s2)
-            h = np.exp(-d2_row[near] / (2.0 * sigma * sigma))
-            moved = self.weights[near]
-            moved += alpha * h[:, None] * (v - moved)
+            near, d2 = _neighbours(self.width, self.height).within(win, s2)
+            h = np.exp(-d2 / (2.0 * sigma * sigma))
+            moved = wt.take(near, axis=1)   # wt[:, near], without its per-neuron loop
+            moved += (alpha * h) * (v[:, None] - moved)
             moved.clip(0.0, 1.0, out=moved)
-            self.weights[near] = moved
+            wt[:, near] = moved
         self.hit_counts[win] += 1
         if label == BENIGN:
             self.benign_wins[win] += 1
@@ -188,7 +221,8 @@ class SomMap:
         dead = np.nonzero(~voted)[0]
         if dead.size:
             labeled_idx = np.nonzero(voted)[0]
-            nearest = _sq_dists(self.weights[dead], self.weights[labeled_idx]).argmin(axis=1)
+            wt = self._wt
+            nearest = _sq_dists(wt[:, dead].T, wt[:, labeled_idx]).argmin(axis=1)
             self.labels[dead] = self.labels[labeled_idx[nearest]]
 
     @property
@@ -210,11 +244,12 @@ class SomMap:
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"batch has shape {vectors.shape}, map dimension is {self.dim}")
         labels = self.labels.tolist()
-        return [labels[j] for j in _sq_dists(vectors, self.weights).argmin(axis=1).tolist()]
+        return [labels[j] for j in _sq_dists(vectors, self._wt).argmin(axis=1).tolist()]
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
+        weights = self.weights.tolist()
         return {
             "format": MAP_FORMAT,
             "version": MAP_FORMAT_VERSION,
@@ -224,7 +259,7 @@ class SomMap:
             "epoch": self.epoch,
             "neurons": [
                 {
-                    "weights": [float(x) for x in self.weights[j]],
+                    "weights": weights[j],
                     "label": str(self.labels[j]),
                     "hit_count": int(self.hit_counts[j]),
                     "benign_wins": int(self.benign_wins[j]),
@@ -278,7 +313,7 @@ class SomMap:
 
     def copy(self) -> "SomMap":
         return SomMap(self.width, self.height, self.dim,
-                      weights=self.weights.copy(), labels=self.labels.copy(),
+                      weights=self.weights, labels=self.labels.copy(),
                       hit_counts=self.hit_counts.copy(),
                       benign_wins=self.benign_wins.copy(),
                       malicious_wins=self.malicious_wins.copy(),
@@ -310,17 +345,16 @@ def merge_maps(maps: list[SomMap]) -> SomMap:
                 f"{first.width}x{first.height}/{first.dim}")
     if len(maps) == 1:
         # the weighted mean h*w/h of one map is not always w in floating point
-        merged_w = first.weights.copy()
+        merged_wt = first._wt
     else:
-        w = np.stack([m.weights for m in maps])          # (M, n, dim)
+        w = np.stack([m._wt for m in maps])              # (M, dim, n)
         hits = np.stack([m.hit_counts for m in maps]).astype(np.float64)  # (M, n)
         total = hits.sum(axis=0)
-        weighted = (hits[:, :, None] * w).sum(axis=0)
+        weighted = (hits[:, None, :] * w).sum(axis=0)
         uniform = w.mean(axis=0)
-        merged_w = np.where(total[:, None] > 0,
-                            weighted / np.maximum(total[:, None], 1.0), uniform)
+        merged_wt = np.where(total > 0, weighted / np.maximum(total, 1.0), uniform)
     merged = SomMap(
-        first.width, first.height, first.dim, merged_w,
+        first.width, first.height, first.dim, merged_wt.T,
         hit_counts=sum(m.hit_counts for m in maps),
         benign_wins=sum(m.benign_wins for m in maps),
         malicious_wins=sum(m.malicious_wins for m in maps),

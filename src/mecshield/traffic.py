@@ -37,6 +37,12 @@ SERVICE_PORT = {"dns": 53, "ntp": 123, "ssdp": 1900}
 
 APP_LAYER_MODES = ("session_flood", "request_flood", "asymmetric")
 
+# `FlowRecord.validate` checks the order of at most this many timestamps in a
+# Python loop, and of more in one numpy comparison: on a 2-core AMD EPYC the
+# loop takes 0.2 us for 2 timestamps and 1.0-1.5 us for 32-64, numpy 1.3 us
+# for any count
+SORT_CHECK_LOOP_MAX = 48
+
 CSV_HEADER = ["flow_id", "src_addr", "dst_addr", "protocol", "dst_port",
               "packet_count", "byte_count", "start_time", "end_time", "label"]
 
@@ -70,7 +76,12 @@ class FlowRecord:
         if self.truth_label not in (LABEL_BENIGN, LABEL_MALICIOUS):
             raise ValueError(f"flow {self.flow_id}: bad label {self.truth_label!r}")
         ts = self.packet_timestamps
-        if any(map(operator.lt, ts[1:], ts)):
+        if len(ts) > SORT_CHECK_LOOP_MAX:
+            a = np.asarray(ts, dtype=np.float64)
+            unsorted = bool((a[1:] < a[:-1]).any())
+        else:
+            unsorted = any(map(operator.lt, ts[1:], ts))
+        if unsorted:       # a NaN compares false either way, so it passes
             raise ValueError(f"flow {self.flow_id}: timestamps not sorted")
         if ts and (ts[0] < self.start_time - 1e-9 or ts[-1] > self.end_time + 1e-9):
             raise ValueError(f"flow {self.flow_id}: timestamps outside [start,end]")

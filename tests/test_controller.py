@@ -20,11 +20,10 @@ TOPOLOGY = {
 VICTIM = 0x0A020042
 
 
-def report(agent="a", start=0.0, dests=None, win=5.0):
+def report(agent="a", start=0.0, dests=None):
     per_dst = {dst: DestinationStats(flows=flows, packets=packets)
                for dst, (flows, packets) in (dests or {}).items()}
-    return TrafficReport(agent_id=agent, window_start=start, window_length=win,
-                         per_destination=per_dst)
+    return TrafficReport(agent_id=agent, window_start=start, per_destination=per_dst)
 
 
 def test_collect_sums_across_agents():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mecshield.config import reference_config
+from mecshield.harness import build_training_set, train_map
 from mecshield.som import (BENIGN, MALICIOUS, UNLABELED, SomHyperParams,
-                           SomMap, UnlabeledMapError, init_map, merge_maps)
-
+                           SomMap, UnlabeledMapError, _neighbours, _sq_dists,
+                           init_map, merge_maps)
 
 
 def brute_force_winner(m, v):
@@ -138,8 +140,9 @@ def test_hyperparams_validation():
         SomHyperParams(initial_learning_rate=0.0)
     with pytest.raises(ValueError):
         SomHyperParams(initial_learning_rate=1.5)
-    with pytest.raises(ValueError):
-        SomHyperParams(initial_radius=-1.0)
+    for radius in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SomHyperParams(initial_radius=radius)
     with pytest.raises(ValueError):
         SomHyperParams(lr_decay_constant=float("inf"))
     with pytest.raises(ValueError):
@@ -362,6 +365,27 @@ def test_copy_is_independent():
     assert m.hit_counts[0] == 0
 
 
+@pytest.mark.parametrize("width, height, dim", [(4, 3, 5), (1, 1, 3), (3, 1, 1), (1, 1, 1)])
+def test_weights_view_writes_through(width, height, dim):
+    w = np.random.default_rng(5).uniform(size=(width * height, dim))
+    m = SomMap(width, height, dim, w)
+    assert m.weights.shape == (width * height, dim)
+    assert m.weights.tobytes() == w.tobytes()
+    before = m.weights.tobytes()
+    w += 0.5                            # the map holds its own copy
+    assert m.weights.tobytes() == before
+    j = width * height - 1
+    m.weights[j] = 0.25
+    assert m.find_winner(np.full(dim, 0.25)) == j
+    c = m.copy()
+    assert c.weights.tobytes() == m.weights.tobytes()
+    assert not np.shares_memory(c.weights, m.weights)
+    back = SomMap.from_dict(json.loads(json.dumps(m.to_dict())))
+    assert back.weights.tobytes() == m.weights.tobytes()
+    with pytest.raises(AttributeError):
+        m.weights = w
+
+
 # Weights and inputs on a 1/16 grid keep every squared distance exact in
 # float64, so the oracle's summation order cannot matter and every tie is a
 # real tie that must resolve to the lowest index.
@@ -544,3 +568,68 @@ def test_train_step_rejects_wrong_shape_at_every_radius(epoch):
         with pytest.raises(ValueError, match="shape"):
             m.train_step(bad, SomHyperParams(), winner=0)
     assert m.weights.tobytes() == before.tobytes() and m.epoch == epoch
+
+
+def _rowmajor_einsum_winner(weights, v):
+    """The winner search of the (n, dim) codebook layout: an einsum over rows
+    of dim, whose distances can differ from the column-major kernel's in the
+    last bits."""
+    d = weights - v
+    return int(np.einsum("ij,ij->i", d, d).argmin())
+
+
+@pytest.fixture(scope="module")
+def reference_maps():
+    """Each reference agent's pretrained map at level 300, with its samples."""
+    cfg = reference_config().scenario_for("mecshield", 300.0)
+    cache = {}
+    out = []
+    for agent in cfg.agents:
+        vectors, labels = build_training_set(cfg, agent, cache)
+        out.append((train_map(cfg, vectors, labels), np.array(vectors)))
+    return out
+
+
+def test_winner_matches_rowmajor_einsum_on_reference_maps(reference_maps):
+    rng = np.random.default_rng(2024)
+    queries = 0
+    for m, samples in reference_maps:
+        w = m.weights.copy()
+        uniform = rng.uniform(size=(4000, m.dim))
+        jittered = np.clip(samples + rng.normal(0.0, 0.01, size=samples.shape), 0.0, 1.0)
+        for batch in (samples, uniform, jittered):
+            got = [m.find_winner(v) for v in batch]
+            assert got == [_rowmajor_einsum_winner(w, v) for v in batch]
+            queries += len(batch)
+    assert queries >= 20_000
+
+
+def test_batch_rows_have_the_single_vector_bits(reference_maps):
+    rng = np.random.default_rng(7)
+    for m, samples in reference_maps:
+        batch = np.concatenate([samples[:300], rng.uniform(size=(300, m.dim))])
+        dists = _sq_dists(batch, m._wt)
+        for row, v in zip(dists, batch):
+            assert row.tobytes() == _sq_dists(v, m._wt).tobytes()
+        labels = m.labels.tolist()
+        assert m.classify_batch(batch) == [labels[m.find_winner(v)] for v in batch]
+
+
+@pytest.mark.parametrize("width, height", [(20, 20), (7, 3), (3, 7), (1, 1)])
+def test_neighbour_table_matches_mask(width, height):
+    n = width * height
+    rows, cols = np.divmod(np.arange(n), width)
+    top = (width - 1) ** 2 + (height - 1) ** 2
+    radii = sorted({0.0, 0.5, 1.0, 1.0 + 1e-9, top, top + 1, 1e9,
+                    *range(top + 1), *(k + 0.5 for k in range(top + 1))})
+    # on 20x20, the corners, edge midpoints, the centre and a few others
+    wins = range(n) if n < 100 else [0, 9, 19, 190, 210, 231, 380, 399, 57, 333]
+    table = _neighbours(width, height)
+    for win in wins:
+        lattice_d2 = (rows - rows[win]) ** 2 + (cols - cols[win]) ** 2
+        for s2 in radii:
+            near, d2 = table.within(win, s2)
+            want = np.flatnonzero(lattice_d2 <= s2)
+            assert np.array_equal(np.sort(near), want)
+            assert d2.tobytes() == lattice_d2[near].astype(np.float64).tobytes()
+            assert (np.diff(d2) >= 0).all()

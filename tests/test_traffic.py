@@ -11,7 +11,7 @@ from mecshield.errors import DataError
 from mecshield.traffic import (ALARM, AMPLIFICATION, APP_LAYER_MODES, AttackProfile,
                                BenignProfile, CSV_HEADER, FlowRecord,
                                LABEL_BENIGN, LABEL_MALICIOUS, MONITOR, SENSOR,
-                               default_benign_profile, gen_attack, gen_benign,
+                               SORT_CHECK_LOOP_MAX, default_benign_profile, gen_attack, gen_benign,
                                load_flow_csv, write_flow_csv)
 
 
@@ -39,6 +39,30 @@ def test_flow_record_validation():
         base.update(kw)
         with pytest.raises(ValueError):
             FlowRecord(**base).validate()
+
+
+_stamp = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, float("nan")]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.integers(0, SORT_CHECK_LOOP_MAX),
+                 st.integers(SORT_CHECK_LOOP_MAX + 1, 2 * SORT_CHECK_LOOP_MAX)),
+       st.data(), st.booleans(), st.booleans())
+def test_sort_check_agrees_with_pairwise_loop(n, data, presort, packed):
+    # both sides of the loop/numpy size cut: equal neighbours pass, a NaN
+    # compares false with everything and passes, any strict descent fails
+    ts = data.draw(st.lists(_stamp, min_size=n, max_size=n))
+    if presort:
+        ts.sort()
+    unsorted = any(ts[i + 1] < ts[i] for i in range(len(ts) - 1))
+    f = FlowRecord("f", 1, 2, "TCP", 80, n, 0.0, -float("inf"), float("inf"),
+                   packet_timestamps=array("d", ts) if packed else ts)
+    if unsorted:
+        with pytest.raises(ValueError, match="not sorted"):
+            f.validate()
+    else:
+        f.validate()
 
 
 def test_benign_profile_validation():
