@@ -14,12 +14,10 @@ PROTECTION = "protection"
 
 FORWARD = "forward"
 DROP = "drop"
-BLOCK = "block"
 
 R_BENIGN = "benign"
 R_SOM_MALICIOUS = "som_malicious"
 R_POLICY_DROP = "policy_drop"
-R_POLICY_BLOCK = "policy_block"
 
 
 @dataclass
@@ -52,7 +50,6 @@ class AgentConfig:
     window_length: float = 5.0
     quiet_period: float = 30.0
     local_trigger_count: int = 5      # malicious winners in one window that arm protection locally
-    block_packets_min: int = 1000     # heavy flows get their source blocked
     feature_mode: FeatureMode = FeatureMode.SOURCE_SITE
     norm_spec: NormalizationSpec = field(default_factory=NormalizationSpec)
     hyperparams: SomHyperParams = field(default_factory=SomHyperParams)
@@ -73,11 +70,9 @@ class Agent:
         self.filter_always_on = filter_always_on
         self.active_policy = None
         self.last_malicious_seen: float | None = None
-        self.blocked_sources: set[int] = set()
         self.flows_processed = 0
         self.flows_forwarded = 0
         self.flows_dropped = 0
-        self.flows_blocked = 0
         self.work_units = 0
         self.log = log if log is not None else []
         self._window_flows: list[FlowRecord] = []
@@ -110,9 +105,9 @@ class Agent:
         """Process one window's flows.
 
         Normal mode forwards everything but still trains the SOM from the
-        monitored traffic; protection mode classifies each flow and enforces
-        drop/block.  Returns the verdicts and the work units spent
-        (vectors classified + vectors trained).
+        monitored traffic; protection mode classifies each flow and drops
+        what the map calls malicious.  Returns the verdicts and the work
+        units spent (vectors classified + vectors trained).
         """
         cfg = self.config
         stats = self._intake(flows, now)
@@ -124,10 +119,6 @@ class Agent:
         labeled = som.is_labeled
         labels = som.labels.tolist()
         for flow in flows:
-            if self.mode == PROTECTION and flow.src_addr in self.blocked_sources:
-                verdicts.append(Verdict(flow.flow_id, BLOCK, now, R_POLICY_BLOCK))
-                self.flows_blocked += 1
-                continue
             vec = extract_one(flow, cfg.feature_mode, cfg.norm_spec, stats)
             # one winner search serves the verdict and the training step, which
             # is labeled by the map's own verdict
@@ -154,23 +145,14 @@ class Agent:
 
     def _decide(self, flow: FlowRecord, now: float, predicted: str) -> Verdict:
         """The verdict on one classified flow: forward unless the map calls it
-        malicious; then drop, or, under a policy, block the source of a heavy
-        flow.  Counts the verdict."""
-        decision, reason = FORWARD, R_BENIGN
-        if predicted == MALICIOUS:
-            decision, reason = DROP, R_SOM_MALICIOUS
-            if self._policy_active(now):
-                if flow.packet_count >= self.config.block_packets_min:
-                    decision, reason = BLOCK, R_POLICY_BLOCK
-                    self.blocked_sources.add(flow.src_addr)
-                else:
-                    decision, reason = DROP, R_POLICY_DROP
-        if decision == FORWARD:
+        malicious, else drop.  Counts the verdict."""
+        if predicted != MALICIOUS:
+            decision, reason = FORWARD, R_BENIGN
             self.flows_forwarded += 1
-        elif decision == DROP:
-            self.flows_dropped += 1
         else:
-            self.flows_blocked += 1
+            decision = DROP
+            reason = R_POLICY_DROP if self._policy_active(now) else R_SOM_MALICIOUS
+            self.flows_dropped += 1
         return Verdict(flow.flow_id, decision, now, reason,
                        classified=True, predicted=predicted)
 
@@ -216,7 +198,6 @@ class Agent:
             return
         if self.active_policy is not None and self.active_policy.expires_at <= now:
             self.active_policy = None
-            self.blocked_sources.clear()
         if self.mode == PROTECTION and not self._policy_active(now):
             quiet = (self.last_malicious_seen is None or
                      now - self.last_malicious_seen > self.config.quiet_period)

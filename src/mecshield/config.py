@@ -33,6 +33,9 @@ SCHEMES = (SCHEME_MECSHIELD, SCHEME_DISTRIBUTED, SCHEME_CENTRALIZED)
 # floats near t, a generator's `t += 1/rate` never ends.
 MAX_FLOWS = 10_000_000
 
+# the attack level at which attack profile rates are quoted
+BASE_LEVEL = 50.0
+
 
 @dataclass
 class AgentSpec:
@@ -85,7 +88,6 @@ class ScenarioConfig(AgentConfig):
     # one cell's scheme and level, set by for_cell from `schemes` and `attack_levels`
     scheme: str = field(default=SCHEME_MECSHIELD, metadata={"key": None})
     attack_level: float = field(default=50.0, metadata={"key": None})
-    base_level: float = 50.0          # level at which profile rates are quoted
     duration: float = 60.0
     link_delay: float = 0.01
     analysis_delay: float = 0.05
@@ -113,7 +115,7 @@ class ScenarioConfig(AgentConfig):
                               f"got {self.attack_level!r}")
         if not self.agents:
             raise ConfigError("scenario.agents must list at least one agent")
-        for name in ("duration", "window_length", "base_level"):
+        for name in ("duration", "window_length"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, "
                                   f"got {getattr(self, name)!r}")
@@ -188,7 +190,7 @@ class ScenarioConfig(AgentConfig):
             raise ConfigError(
                 f"{cause}: the cell would generate about {flows:.3g} flows, more than "
                 f"MAX_FLOWS = {MAX_FLOWS}: {attack_flows:.3g} from its attacks at "
-                f"attack_level {self.attack_level!r} and base_level {self.base_level!r}, "
+                f"attack_level {self.attack_level!r}, "
                 f"{sum(benign_flows):.3g} from its agents' benign traffic")
 
     def for_cell(self, scheme: str, level: float,
@@ -199,8 +201,8 @@ class ScenarioConfig(AgentConfig):
 
     def leveled_attacks(self) -> list[AttackSpec]:
         """The attacks at this cell's level: a scaled attack's bot rate is
-        multiplied by attack_level / base_level."""
-        factor = self.attack_level / self.base_level
+        multiplied by attack_level / BASE_LEVEL."""
+        factor = self.attack_level / BASE_LEVEL
         out = []
         for spec in self.attacks:
             p = copy.deepcopy(spec.profile)

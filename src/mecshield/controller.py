@@ -2,7 +2,7 @@
 policy generation for source- and destination-site agents.
 
 A window flags a destination when more than `syn_flows_per_window` flows
-reach it and they average at most `syn_packets_per_flow_max` packets each.
+reach it and they average at most `SYN_PACKETS_PER_FLOW_MAX` packets each.
 Destination policies go to the agents whose ranges hold the victims; source
 policies go to the agents that reported flows toward a victim."""
 from __future__ import annotations
@@ -16,6 +16,9 @@ METHOD_UNKNOWN = "unknown"
 
 ROLE_SOURCE = "source"
 ROLE_DESTINATION = "destination"
+
+# a SYN flood's flows carry a handshake's few packets
+SYN_PACKETS_PER_FLOW_MAX = 3.0
 
 
 @dataclass
@@ -51,7 +54,6 @@ class AggregateView:
 @dataclass
 class DetectionThresholds:
     syn_flows_per_window: float = 500.0
-    syn_packets_per_flow_max: float = 3.0
 
 
 class Controller:
@@ -106,7 +108,7 @@ class Controller:
             if v.flows == 0:
                 continue
             ppf = v.packets / v.flows
-            hit = v.flows > th.syn_flows_per_window and ppf <= th.syn_packets_per_flow_max
+            hit = v.flows > th.syn_flows_per_window and ppf <= SYN_PACKETS_PER_FLOW_MAX
             evidence[dst] = {"flow_count": v.flows, "packets_per_flow": ppf,
                              "rule": METHOD_SYN_FLOOD if hit else None}
             if hit:

@@ -23,28 +23,24 @@ class FeatureMode(str, Enum):
 MODE_DIM = {FeatureMode.DESTINATION_SITE: 3, FeatureMode.SOURCE_SITE: 5}
 
 
+# the protocol component: one distinct code in [0,1] per protocol, and
+# OTHER_PROTOCOL_CODE for any protocol not listed
+PROTOCOL_CODES = {"TCP": 0.0, "UDP": 0.5, "ICMP": 1.0}
+OTHER_PROTOCOL_CODE = 0.25
+PORT_MAX = 65535
+
+
 @dataclass
 class NormalizationSpec:
-    port_max: int = 65535
     flow_count_cap: int = 1000        # per-source flows per window
     packets_per_flow_cap: int = 1000
-    protocol_codes: dict = field(default_factory=lambda: {"TCP": 0.0, "UDP": 0.5, "ICMP": 1.0})
-    other_protocol_code: float = 0.25
     activity_quantum: float = 1.0     # seconds of activity credited per packet
 
     def __post_init__(self):
-        if self.port_max <= 0 or self.flow_count_cap <= 0 or self.packets_per_flow_cap <= 0:
+        if self.flow_count_cap <= 0 or self.packets_per_flow_cap <= 0:
             raise ValueError("normalization caps must be positive")
         if self.activity_quantum <= 0:
             raise ValueError("activity_quantum must be positive")
-        codes = list(self.protocol_codes.values()) + [self.other_protocol_code]
-        if any(not (0.0 <= c <= 1.0) for c in codes):
-            raise ValueError("protocol codes must lie in [0,1]")
-        if len(set(self.protocol_codes.values())) != len(self.protocol_codes):
-            raise ValueError("protocol encoding must be injective")
-
-    def encode_protocol(self, protocol: str) -> float:
-        return self.protocol_codes.get(protocol, self.other_protocol_code)
 
 
 @dataclass
@@ -111,8 +107,8 @@ def _clamp01(x: float) -> float:
 
 def extract_one(flow: FlowRecord, mode: FeatureMode, spec: NormalizationSpec,
                 window: WindowStats) -> np.ndarray:
-    proto = spec.encode_protocol(flow.protocol)
-    port = _clamp01(flow.dst_port / spec.port_max)
+    proto = PROTOCOL_CODES.get(flow.protocol, OTHER_PROTOCOL_CODE)
+    port = _clamp01(flow.dst_port / PORT_MAX)
     flow_number = _clamp01(window.flows_per_source.get(flow.src_addr, 0) / spec.flow_count_cap)
     if mode == FeatureMode.DESTINATION_SITE:
         return np.array([proto, port, flow_number])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import Agent, BLOCK, DROP, FORWARD, PROTECTION
+from .agent import Agent, DROP, PROTECTION
 from .config import (SCHEME_CENTRALIZED, SCHEME_DISTRIBUTED, SCHEME_MECSHIELD,
                      AgentSpec, ScenarioConfig, host_addrs, pretrain_duration)
 from .controller import Controller
@@ -287,7 +287,7 @@ def run(cfg: ScenarioConfig,
 
     def log_verdicts(agent_id, flows, verdicts):
         for f, v in zip(flows, verdicts):
-            if v.classified or v.decision != FORWARD:
+            if v.classified:
                 events.append({
                     "kind": "classify", "t": v.decided_at, "agent": agent_id,
                     "flow_id": v.flow_id, "decision": v.decision,
@@ -346,9 +346,10 @@ def run(cfg: ScenarioConfig,
 
     for agent_id in agent_order:
         a = agents[agent_id]
+        # no verdict blocks; `blocked` stays because digests pin the log format
         events.append({"kind": "agent_summary", "t": cfg.duration, "agent": agent_id,
                        "processed": a.flows_processed, "forwarded": a.flows_forwarded,
-                       "dropped": a.flows_dropped, "blocked": a.flows_blocked,
+                       "dropped": a.flows_dropped, "blocked": 0,
                        "work_units": a.work_units})
     events.append({"kind": "controller_summary", "t": cfg.duration,
                    "work_units": controller.work_units,
@@ -391,7 +392,7 @@ def compute_metrics(events: list[dict]) -> RunMetrics:
             if truth is None:
                 missing_truth = True
                 continue
-            predicted_malicious = e["decision"] in (DROP, BLOCK)
+            predicted_malicious = e["decision"] == DROP
             if truth == LABEL_MALICIOUS:
                 if predicted_malicious:
                     tp += 1

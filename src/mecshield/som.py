@@ -20,6 +20,9 @@ UNLABELED = "unlabeled"
 MAP_FORMAT = "mecshield-som"
 MAP_FORMAT_VERSION = 1
 
+# rows `classify_batch` hands the distance kernel at a time
+CLASSIFY_BLOCK_ROWS = 1024
+
 
 class UnlabeledMapError(RuntimeError):
     """Raised when a classification is requested from a map with no labeled neurons."""
@@ -244,7 +247,12 @@ class SomMap:
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"batch has shape {vectors.shape}, map dimension is {self.dim}")
         labels = self.labels.tolist()
-        return [labels[j] for j in _sq_dists(vectors, self._wt).argmin(axis=1).tolist()]
+        # each block's kernel holds (rows, dim, n) float64: about 16 MiB for
+        # a 20x20 map with dim 5; rows are independent, so blocks keep the bits
+        return [labels[j]
+                for lo in range(0, len(vectors), CLASSIFY_BLOCK_ROWS)
+                for j in _sq_dists(vectors[lo:lo + CLASSIFY_BLOCK_ROWS],
+                                   self._wt).argmin(axis=1).tolist()]
 
     # -- serialization -----------------------------------------------------
 

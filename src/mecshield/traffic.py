@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import operator
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,9 @@ AMPLIFICATION = {
     "ssdp": (30.8, 30.8),
 }
 SERVICE_PORT = {"dns": 53, "ntp": 123, "ssdp": 1900}
+# every volumetric request is this many bytes, sent to this reflector
+REQUEST_BYTES = 100.0
+AMPLIFIER_ADDR = 0x08080808
 
 APP_LAYER_MODES = ("session_flood", "request_flood", "asymmetric")
 
@@ -42,6 +45,10 @@ APP_LAYER_MODES = ("session_flood", "request_flood", "asymmetric")
 # loop takes 0.2 us for 2 timestamps and 1.0-1.5 us for 32-64, numpy 1.3 us
 # for any count
 SORT_CHECK_LOOP_MAX = 48
+
+# the most packets one flow CSV may claim in all: `load_flow_csv` builds 8 B
+# of timestamps per packet, 400 MB at the cap
+CSV_PACKETS_MAX = 50_000_000
 
 CSV_HEADER = ["flow_id", "src_addr", "dst_addr", "protocol", "dst_port",
               "packet_count", "byte_count", "start_time", "end_time", "label"]
@@ -146,12 +153,9 @@ class AttackProfile:
     sub_mode: str                     # dns/ntp/ssdp or session_flood/request_flood/asymmetric
     target_addr: int
     bot_count: int = 10
-    offered_rate: float = 0.0         # total attack bytes per sim-second; 0 = no rescaling
     spoofing: bool = True
     # volumetric knobs
-    request_bytes: float = 100.0
     requests_per_bot_per_s: float = 10.0
-    amplifier_addr: int = 0x08080808
     # application-layer knobs
     protocol: str = TCP
     dst_port: int = 80
@@ -264,9 +268,7 @@ def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
                     t0: float) -> list[FlowRecord]:
     lo, hi = AMPLIFICATION[p.sub_mode]
     port = SERVICE_PORT[p.sub_mode]
-    # lay out request times and draw per-pair amplification first, so the
-    # request size can be rescaled to meet offered_rate while keeping every
-    # response/request byte ratio exactly equal to the drawn factor
+    # every bot's requests with their amplification draws, then in time order
     pairs = []
     for b in range(p.bot_count):
         bot = src_base + b
@@ -277,15 +279,11 @@ def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
             pairs.append((t, bot, factor))
             t += 1.0 / p.requests_per_bot_per_s
     pairs.sort()
-    req_bytes = p.request_bytes
-    if p.offered_rate > 0 and pairs:
-        raw_total = sum(req_bytes * (1.0 + f) for _, _, f in pairs)
-        req_bytes = req_bytes * (p.offered_rate * duration / raw_total)
     flows: list[FlowRecord] = []
     for k, (t, bot, factor) in enumerate(pairs):
         flows.append(FlowRecord(
-            flow_id=f"req-{k}", src_addr=bot, dst_addr=p.amplifier_addr,
-            protocol=UDP, dst_port=port, packet_count=1, byte_count=req_bytes,
+            flow_id=f"req-{k}", src_addr=bot, dst_addr=AMPLIFIER_ADDR,
+            protocol=UDP, dst_port=port, packet_count=1, byte_count=REQUEST_BYTES,
             start_time=t, end_time=t, packet_timestamps=array("d", (t,)),
             truth_label=LABEL_MALICIOUS))
         rsp_dst = p.target_addr if p.spoofing else bot
@@ -293,9 +291,9 @@ def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
         rsp_start = t + 0.001
         ts = array("d", [rsp_start + 0.0001 * i for i in range(rsp_pkts)])
         flows.append(FlowRecord(
-            flow_id=f"rsp-{k}", src_addr=p.amplifier_addr, dst_addr=rsp_dst,
+            flow_id=f"rsp-{k}", src_addr=AMPLIFIER_ADDR, dst_addr=rsp_dst,
             protocol=UDP, dst_port=port, packet_count=rsp_pkts,
-            byte_count=req_bytes * factor,
+            byte_count=REQUEST_BYTES * factor,
             start_time=rsp_start, end_time=ts[-1], packet_timestamps=ts,
             truth_label=LABEL_MALICIOUS))
     for f in flows:
@@ -344,10 +342,6 @@ def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
                 starts.append(t)
                 t += 1.0 / rate
             emit(bot, starts)
-    if p.offered_rate > 0 and flows:
-        total = sum(f.byte_count for f in flows)
-        scale = p.offered_rate * duration / total
-        flows = [replace(f, byte_count=f.byte_count * scale) for f in flows]
     for f in flows:
         f.validate()
     return flows
@@ -372,6 +366,7 @@ def load_flow_csv(path) -> list[FlowRecord]:
             raise DataError(f"{path}: missing column(s) {sorted(missing)}")
         raise DataError(f"{path}: header {header} does not match schema {CSV_HEADER}")
     flows = []
+    packets = 0
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -379,6 +374,10 @@ def load_flow_csv(path) -> list[FlowRecord]:
             raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         try:
             pkts = int(row[5])
+            packets += pkts
+            if packets > CSV_PACKETS_MAX:
+                raise DataError(f"{path}:{lineno}: the file claims more than "
+                                f"CSV_PACKETS_MAX = {CSV_PACKETS_MAX} packets")
             start, end = float(row[7]), float(row[8])
             ts = array("d", np.linspace(start, end, pkts).tobytes())
             rec = FlowRecord(

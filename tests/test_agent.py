@@ -5,9 +5,8 @@ from array import array
 import numpy as np
 import pytest
 
-from mecshield.agent import (Agent, AgentConfig, BLOCK, DROP, FORWARD, NORMAL,
-                             PROTECTION, R_POLICY_BLOCK, R_POLICY_DROP,
-                             R_SOM_MALICIOUS)
+from mecshield.agent import (Agent, AgentConfig, DROP, FORWARD, NORMAL,
+                             PROTECTION, R_POLICY_DROP, R_SOM_MALICIOUS)
 from mecshield.controller import Policy, ROLE_DESTINATION, ROLE_SOURCE
 from mecshield.som import BENIGN, MALICIOUS, SomHyperParams, SomMap
 from mecshield.traffic import FlowRecord
@@ -98,17 +97,15 @@ def test_protection_drops_malicious_forwards_benign():
     assert work == 4                       # 2 classified + 2 trained
 
 
-def test_policy_block_rule_on_heavy_flows():
+def test_policy_drops_heavy_flows_and_blocks_no_source():
     a = fresh_agent()
     a.apply_policy(make_policy(), 10.0)
     heavy = malicious_flow(0, 10.5, src=300, pkts=1200)
     verdicts, _ = a.ingest([heavy], 15.0)
-    assert verdicts[0].decision == BLOCK
-    assert verdicts[0].reason == R_POLICY_BLOCK
-    assert 300 in a.blocked_sources
-    # next flow from the blocked source is short-circuited
-    verdicts, _ = a.ingest([malicious_flow(1, 15.5, src=300, pkts=1)], 20.0)
-    assert verdicts[0].decision == BLOCK
+    assert (verdicts[0].decision, verdicts[0].reason) == (DROP, R_POLICY_DROP)
+    # the source's next flow is classified on its own
+    verdicts, _ = a.ingest([benign_flow(1, 15.5, src=300)], 20.0)
+    assert verdicts[0].decision == FORWARD and verdicts[0].classified
 
 
 def test_policy_addressing_rejected():
@@ -151,7 +148,6 @@ def test_active_policy_overrides_quiet_period():
     a.tick(1001.0)
     assert a.mode == NORMAL
     assert a.active_policy is None
-    assert not a.blocked_sources
 
 
 def test_filter_always_on_never_deactivates():
@@ -236,9 +232,8 @@ def test_fuzzed_interleavings_small():
                 a.apply_policy(make_policy(pid=f"p{trial}-{step}", issued=now,
                                            ttl=float(rng.uniform(5, 60))), now)
                 assert a.mode == PROTECTION
-            new = (a.flows_processed, a.flows_forwarded + a.flows_dropped
-                   + a.flows_blocked, a.work_units, a.som.epoch)
+            new = (a.flows_processed, a.flows_forwarded + a.flows_dropped,
+                   a.work_units, a.som.epoch)
             assert all(n >= o for n, o in zip(new, counters))
             counters = new
-        assert a.flows_processed == (a.flows_forwarded + a.flows_dropped
-                                     + a.flows_blocked)
+        assert a.flows_processed == a.flows_forwarded + a.flows_dropped

@@ -151,8 +151,8 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (("detection", "app_rate_multiplier"), 10.0),
                          (("detection", "baseline_horizon"), 60.0),
                          (("scenario", "level_rate_unit"), 1000.0),
+                         (("scenario", "base_level"), 50.0),
                          (("scenario", "policy_ttl"), 0.0),
-                         (("scenario", "base_level"), 0.0),
                          (("scenario", "attack_level"), -1.0),
                          (("scenario", "pretrain_samples"), 0),
                          (("som", "width"), 0), (("som", "height"), 0),
@@ -162,7 +162,6 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (("scenario", "window_length"), inf),
                          (("scenario", "link_delay"), nan),
                          (("scenario", "analysis_delay"), inf),
-                         (("scenario", "base_level"), inf),
                          (("scenario", "attack_level"), nan),
                          (("attack_levels",), [inf]),
                          (("attack_levels",), [100, nan]),

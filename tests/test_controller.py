@@ -8,7 +8,8 @@ from mecshield.agent import DestinationStats, TrafficReport
 from mecshield.config import parse_config, reference_config_dict
 from mecshield.controller import (AttackAssessment, Controller,
                                   DetectionThresholds, METHOD_SYN_FLOOD, Policy,
-                                  ROLE_DESTINATION, ROLE_SOURCE)
+                                  ROLE_DESTINATION, ROLE_SOURCE,
+                                  SYN_PACKETS_PER_FLOW_MAX)
 from mecshield.harness import run
 from mecshield.traffic import APP_LAYER_MODES
 
@@ -67,7 +68,7 @@ def test_analyze_syn_flood_rule():
     assert a.detected and a.method == METHOD_SYN_FLOOD
     assert a.victim_addrs == [VICTIM] and a.source_agents == ["a"]
     # both bounds: more than syn_flows_per_window flows, at most
-    # syn_packets_per_flow_max packets per flow on average
+    # SYN_PACKETS_PER_FLOW_MAX packets per flow on average
     for flows, packets, flagged in [(501, 1503, True), (500, 1500, False),
                                     (501, 1504, False)]:
         c = Controller(TOPOLOGY, thresholds=th)
@@ -159,7 +160,7 @@ def test_analyze_flags_exactly_the_syn_shape(reps):
     for dst in DESTS:
         flows = sum(d[dst][0] for d in reps.values() if dst in d)
         packets = sum(d[dst][1] for d in reps.values() if dst in d)
-        if flows > th.syn_flows_per_window and packets <= th.syn_packets_per_flow_max * flows:
+        if flows > th.syn_flows_per_window and packets <= SYN_PACKETS_PER_FLOW_MAX * flows:
             want.append(dst)
     assert a.detected == bool(want)
     assert a.victim_addrs == sorted(want)
@@ -170,7 +171,7 @@ def test_analyze_flags_exactly_the_syn_shape(reps):
 @given(window_reports, st.sampled_from(sorted(TOPOLOGY)), st.sampled_from(DESTS),
        st.integers(1, 600).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 3 * n))))
 def test_added_short_flows_never_unflag(reps, agent, dst, extra):
-    """Flows of at most syn_packets_per_flow_max packets, added anywhere,
+    """Flows of at most SYN_PACKETS_PER_FLOW_MAX packets, added anywhere,
     keep every flagged destination flagged."""
     _, before = _assess(reps)
     more = {k: dict(v) for k, v in reps.items()}

@@ -27,22 +27,18 @@ def test_mode_dims():
 
 
 def test_protocol_encoding():
-    spec = NormalizationSpec()
-    assert spec.encode_protocol("TCP") == 0.0
-    assert spec.encode_protocol("UDP") == 0.5
-    assert spec.encode_protocol("ICMP") == 1.0
-    assert spec.encode_protocol("GRE") == 0.25  # unknown maps to 'other'
+    ws = WindowStats(0.0, 5.0)
+    codes = {p: extract_one(flow(protocol=p), FeatureMode.DESTINATION_SITE,
+                            NormalizationSpec(), ws)[0]
+             for p in ("TCP", "UDP", "ICMP", "OTHER")}
+    assert codes == {"TCP": 0.0, "UDP": 0.5, "ICMP": 1.0, "OTHER": 0.25}
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        NormalizationSpec(port_max=0)
-    with pytest.raises(ValueError):
-        NormalizationSpec(activity_quantum=0.0)
-    with pytest.raises(ValueError):
-        NormalizationSpec(protocol_codes={"TCP": 0.0, "UDP": 0.0})
-    with pytest.raises(ValueError):
-        NormalizationSpec(protocol_codes={"TCP": 1.5})
+    for kw in ({"flow_count_cap": 0}, {"packets_per_flow_cap": 0},
+               {"activity_quantum": 0.0}):
+        with pytest.raises(ValueError):
+            NormalizationSpec(**kw)
 
 
 def test_window_stats_counts_per_source():

@@ -70,7 +70,7 @@ def test_scenario_validation_errors():
     with pytest.raises(ConfigError, match="whole number of windows"):
         bad.validate()
     nan, inf = float("nan"), float("inf")
-    for name, value in [("policy_ttl", 0.0), ("base_level", 0.0),
+    for name, value in [("policy_ttl", 0.0),
                         ("attack_level", 0.0), ("attack_level", -50.0),
                         ("pretrain_samples", 0), ("som_width", 0),
                         ("som_height", 0), ("policy_ttl", nan),
@@ -78,7 +78,6 @@ def test_scenario_validation_errors():
                         ("window_length", nan), ("window_length", inf),
                         ("link_delay", nan), ("link_delay", inf),
                         ("analysis_delay", nan), ("analysis_delay", inf),
-                        ("base_level", nan), ("base_level", inf),
                         ("attack_level", nan), ("attack_level", inf)]:
         bad = copy.deepcopy(cfg)
         setattr(bad, name, value)

@@ -2,6 +2,7 @@
 labeling, merging and serialization."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ def test_classify_returns_winner_label():
         assert m.classify(v) == m.labels[brute_force_winner(m, v)]
     batch = rng.uniform(0, 1, size=(20, 3))
     assert m.classify_batch(batch) == [m.classify(v) for v in batch]
+
+
+def test_classify_batch_memory_is_bounded():
+    # one kernel call over 10,000 rows would hold 160 MB of differences
+    rng = np.random.default_rng(22)
+    m = init_map(20, 20, 5, seed=3)
+    m.labels[:] = rng.choice([BENIGN, MALICIOUS], size=m.neuron_count)
+    batch = rng.uniform(0, 1, size=(10_000, 5))
+    tracemalloc.start()
+    try:
+        got = m.classify_batch(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert got == [m.classify(v) for v in batch]
 
 
 def test_classify_unlabeled_raises():

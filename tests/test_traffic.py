@@ -129,7 +129,7 @@ def test_attack_profile_validation():
 
 def test_ntp_amplification_exact():
     p = AttackProfile("volumetric", "ntp", target_addr=0xDEAD, bot_count=3,
-                      request_bytes=100.0, requests_per_bot_per_s=2.0)
+                      requests_per_bot_per_s=2.0)
     flows = gen_attack(p, 30.0, seed=4)
     reqs = {f.flow_id[4:]: f for f in flows if f.flow_id.startswith("req-")}
     rsps = {f.flow_id[4:]: f for f in flows if f.flow_id.startswith("rsp-")}
@@ -167,18 +167,6 @@ def test_volumetric_no_spoofing_returns_to_bot():
         if f.flow_id.startswith("rsp-"):
             assert f.dst_addr != 7
         assert f.dst_port == 1900
-
-
-def test_volumetric_offered_rate_keeps_ratio_exact():
-    p = AttackProfile("volumetric", "ntp", target_addr=1, bot_count=4,
-                      offered_rate=123456.0, requests_per_bot_per_s=3.0)
-    flows = gen_attack(p, 60.0, seed=7)
-    total = sum(f.byte_count for f in flows)
-    assert total / 60.0 == pytest.approx(123456.0, rel=0.05)
-    reqs = {f.flow_id[4:]: f for f in flows if f.flow_id.startswith("req-")}
-    for f in flows:
-        if f.flow_id.startswith("rsp-"):
-            assert f.byte_count / reqs[f.flow_id[4:]].byte_count == 556.9
 
 
 def test_session_flood_rate_multiplier():
@@ -249,27 +237,22 @@ def _app_layer_one_draw_per_session(p, duration, seed, src_base, t0):
             while t < t0 + duration:
                 emit(bot, t)
                 t += 1.0 / rate
-    if p.offered_rate > 0 and out:
-        scale = p.offered_rate * duration / sum(o[-1] for o in out)
-        for o in out:
-            o[-1] *= scale
     return out
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.sampled_from(APP_LAYER_MODES), st.integers(1, 4), st.integers(1, 5),
-       st.one_of(st.just(0.0), st.floats(1.0, 1e7)),
        st.one_of(st.just(0.0), st.floats(0.1, 500.0)),
        st.floats(0.2, 5.0), st.floats(1.0, 6.0), st.integers(1, 4),
        st.floats(0.01, 2.0), st.floats(0.01, 0.5), st.floats(0.5, 20.0),
        st.integers(0, 2**32 - 1))
 def test_app_layer_flows_equal_one_draw_per_session(
-        mode, bots, burst_size, offered_rate, t0, session_rate, multiplier,
+        mode, bots, burst_size, t0, session_rate, multiplier,
         packets, session_duration, burst_interval, duration, seed):
     # a run of sessions shares one packet draw; the stream must be the one
     # that one draw per session gives
     p = AttackProfile("app_layer", mode, target_addr=7, bot_count=bots,
-                      offered_rate=offered_rate, base_session_rate=session_rate,
+                      base_session_rate=session_rate,
                       multiplier=multiplier, base_packets_per_flow=packets,
                       session_duration=session_duration, burst_size=burst_size,
                       burst_interval=burst_interval)
@@ -372,3 +355,15 @@ def test_csv_error_paths(tmp_path):
                        "f,1,2,TCP,80,notanint,100,0,1,benign\n")
     with pytest.raises(DataError, match=":2:"):
         load_flow_csv(bad_row)
+
+
+def test_csv_packet_total_is_capped(tmp_path, monkeypatch):
+    monkeypatch.setattr("mecshield.traffic.CSV_PACKETS_MAX", 10)
+    path = tmp_path / "heavy.csv"
+    rows = ["f0,1,2,TCP,80,6,600,0,1,benign", "f1,1,2,TCP,80,4,400,1,2,benign"]
+    path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    assert sum(f.packet_count for f in load_flow_csv(path)) == 10
+    path.write_text("\n".join([",".join(CSV_HEADER), *rows,
+                               "f2,1,2,TCP,80,1,100,2,3,benign"]) + "\n")
+    with pytest.raises(DataError, match=r"heavy\.csv:4: .*CSV_PACKETS_MAX = 10\b"):
+        load_flow_csv(path)
