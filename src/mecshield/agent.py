@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .features import (FeatureMode, NormalizationSpec, WindowStats, extract_one,
-                       window_stats)
+import numpy as np
+
+from .features import FeatureMode
 from .som import MALICIOUS, SomHyperParams, SomMap
 from .traffic import FlowRecord
 
@@ -51,7 +52,6 @@ class AgentConfig:
     quiet_period: float = 30.0
     local_trigger_count: int = 5      # malicious winners in one window that arm protection locally
     feature_mode: FeatureMode = FeatureMode.SOURCE_SITE
-    norm_spec: NormalizationSpec = field(default_factory=NormalizationSpec)
     hyperparams: SomHyperParams = field(default_factory=SomHyperParams)
 
 
@@ -89,28 +89,31 @@ class Agent:
     def _policy_active(self, now: float) -> bool:
         return self.active_policy is not None and self.active_policy.expires_at > now
 
-    def _intake(self, flows: list[FlowRecord], now: float) -> WindowStats:
+    def _intake(self, flows: list[FlowRecord], now: float) -> None:
         """Count one window's flows and keep them, with the window's start,
         for the report."""
-        cfg = self.config
-        stats = window_stats(flows, now - cfg.window_length, cfg.window_length)
         self._window_flows = list(flows)
-        self._window_start = stats.window_start
+        self._window_start = now - self.config.window_length
         self.flows_processed += len(flows)
-        return stats
 
     # -- main ingest path --------------------------------------------------
 
-    def ingest(self, flows: list[FlowRecord], now: float) -> tuple[list[Verdict], int]:
-        """Process one window's flows.
+    def ingest(self, flows: list[FlowRecord], vectors: np.ndarray,
+               now: float) -> tuple[list[Verdict], int]:
+        """Process the flows of the window that closes at `now`.  `vectors`
+        holds their feature vectors, row i for flows[i], extracted over
+        [now - window_length, now) (`harness.present_traffic` builds them);
+        the agent never writes to them.
 
         Normal mode forwards everything but still trains the SOM from the
         monitored traffic; protection mode classifies each flow and drops
         what the map calls malicious.  Returns the verdicts and the work
         units spent (vectors classified + vectors trained).
         """
+        if len(vectors) != len(flows):
+            raise ValueError(f"{len(flows)} flows but {len(vectors)} vectors")
         cfg = self.config
-        stats = self._intake(flows, now)
+        self._intake(flows, now)
         verdicts: list[Verdict] = []
         work = 0
         malicious_in_window = 0
@@ -118,8 +121,7 @@ class Agent:
         # training moves weights but never relabels, so these are fixed for the window
         labeled = som.is_labeled
         labels = som.labels.tolist()
-        for flow in flows:
-            vec = extract_one(flow, cfg.feature_mode, cfg.norm_spec, stats)
+        for flow, vec in zip(flows, vectors):
             # one winner search serves the verdict and the training step, which
             # is labeled by the map's own verdict
             win = som.find_winner(vec)
@@ -162,10 +164,10 @@ class Agent:
         (centralized scheme)."""
         return [self._decide(flow, now, label) for flow, label in zip(flows, labels)]
 
-    def observe(self, flows: list[FlowRecord], now: float) -> WindowStats:
+    def observe(self, flows: list[FlowRecord], now: float) -> None:
         """Record a window for reporting without filtering or training
         (centralized scheme: the traffic is forwarded wholesale)."""
-        return self._intake(flows, now)
+        self._intake(flows, now)
 
     # -- reporting / control -----------------------------------------------
 

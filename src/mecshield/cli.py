@@ -10,12 +10,12 @@ import json
 import sys
 from pathlib import Path
 
-from .config import MAX_FLOWS, RunConfig, config_to_dict, load_config, reference_config
+from .config import RunConfig, config_to_dict, load_config, reference_config
 from .errors import ConfigError, DataError
 from .features import MODE_DIM
 from .harness import METRIC_COLUMNS, flows_to_samples, run_matrix, train_map
 from .som import BENIGN, MALICIOUS, SomMap
-from .traffic import (AttackProfile, default_benign_profile, gen_attack,
+from .traffic import (MAX_FLOWS, AttackProfile, default_benign_profile, gen_attack,
                       gen_benign, load_flow_csv, write_flow_csv)
 
 

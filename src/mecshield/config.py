@@ -18,7 +18,8 @@ from .controller import DetectionThresholds
 from .errors import ConfigError
 from .features import FeatureMode, NormalizationSpec
 from .som import SomHyperParams
-from .traffic import VOLUMETRIC, AttackProfile, BenignProfile, default_benign_profile
+from .traffic import (MAX_FLOWS, VOLUMETRIC, AttackProfile, BenignProfile,
+                      default_benign_profile)
 
 CONFIG_VERSION = 1
 
@@ -26,12 +27,6 @@ SCHEME_MECSHIELD = "mecshield"
 SCHEME_DISTRIBUTED = "distributed"
 SCHEME_CENTRALIZED = "centralized"
 SCHEMES = (SCHEME_MECSHIELD, SCHEME_DISTRIBUTED, SCHEME_CENTRALIZED)
-
-# The most flows one cell (run and pretraining) or one `gen` call may
-# generate; the largest benchmark cell counts about 43,000.  Beyond it a
-# run takes hours or exhausts memory, and once 1/rate is below the spacing of
-# floats near t, a generator's `t += 1/rate` never ends.
-MAX_FLOWS = 10_000_000
 
 # the attack level at which attack profile rates are quoted
 BASE_LEVEL = 50.0

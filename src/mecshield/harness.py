@@ -113,6 +113,59 @@ def _window_buckets(flows: list[FlowRecord],
     return buckets
 
 
+def window_close(w: int, window_length: float) -> float:
+    """The time at which every agent closes window w and `run` steps it."""
+    return round((w + 1) * window_length, 9)
+
+
+@dataclass(frozen=True)
+class Window:
+    """One agent's flows of one window, and their feature vectors as one
+    read-only (len(flows), dim) matrix, row i for flows[i]."""
+    flows: list[FlowRecord]
+    vectors: np.ndarray
+
+
+@dataclass(frozen=True)
+class PresentedTraffic:
+    """A cell's run-phase traffic as the agents see it.  It reads only the
+    seed and the level of what `for_cell` varies, so the cells of one
+    (seed, level) share one, read-only (see `run`)."""
+    windows: dict[str, list[Window]]            # agent id -> its window w at [w]
+    total_traffic_bytes: float
+    first_malicious_arrival: dict[str, float]   # agent id -> earliest malicious start
+
+
+def present_traffic(cfg: ScenarioConfig) -> PresentedTraffic:
+    """`generate_traffic`'s flows, windowed and featurized once for every
+    scheme: window w is extracted over [now - L, now), the window
+    `Agent.ingest` reads at now = window_close(w, L), which need not start
+    at w*L in floats."""
+    flows_by_agent = generate_traffic(cfg)
+    L = cfg.window_length
+    n_windows = int(round(cfg.duration / L))
+    windows = {}
+    for agent_id, flows in flows_by_agent.items():
+        buckets = _window_buckets(flows, L)
+        windows[agent_id] = []
+        for w in range(n_windows):
+            batch = buckets.get(w, [])
+            stats = window_stats(batch, window_close(w, L) - L, L)
+            vectors = extract(batch, cfg.feature_mode, cfg.norm_spec, stats)
+            vectors.flags.writeable = False
+            windows[agent_id].append(Window(batch, vectors))
+    first_mal = {}
+    for agent_id in sorted(flows_by_agent):
+        mal = [f.start_time for f in flows_by_agent[agent_id]
+               if f.truth_label == LABEL_MALICIOUS]
+        if mal:
+            first_mal[agent_id] = min(mal)
+    return PresentedTraffic(
+        windows,
+        sum(f.byte_count for flows in flows_by_agent.values() for f in flows),
+        first_mal)
+
+
 def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
                      spec: NormalizationSpec, window_length: float,
                      count: int | None = None):
@@ -197,6 +250,12 @@ def train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
     return m
 
 
+def _shared(cfg: ScenarioConfig, cache: dict | None) -> dict:
+    """The entry of `cache` that the cells of cfg's (seed, level) share, or a
+    fresh dict without a cache."""
+    return {} if cache is None else cache.setdefault((cfg.seed, cfg.attack_level), {})
+
+
 def _filters(cfg: ScenarioConfig, cache: dict | None):
     """The cell's filters: (controller map or None, one map per agent).
 
@@ -208,7 +267,7 @@ def _filters(cfg: ScenarioConfig, cache: dict | None):
     and the controller keep training their maps online.  The agents' benign
     samples, the same at every level, sit in `cache` too (see
     `build_training_set`)."""
-    entry = {} if cache is None else cache.setdefault((cfg.seed, cfg.attack_level), {})
+    entry = _shared(cfg, cache)
     if "training" not in entry:
         entry["training"] = [build_training_set(cfg, a, cache=cache) for a in cfg.agents]
     training = entry["training"]
@@ -239,16 +298,19 @@ def run(cfg: ScenarioConfig,
     """Simulate one (scheme, level, seed) cell; returns metrics and the full
     event log.  Identical configs produce identical logs.
 
-    `cache` keeps pretraining across cells that differ only in scheme, level
-    and seed (the copies `ScenarioConfig.for_cell` makes of one config); it
-    never changes the log.  The log is sorted on each event's canonical line,
+    `cache` keeps pretraining and the presented traffic across cells that
+    differ only in scheme, level and seed (the copies
+    `ScenarioConfig.for_cell` makes of one config); it never changes the
+    log.  The log is sorted on each event's canonical line,
     `json.dumps(e, sort_keys=True)`, built here once per event; with a
     `cache`, run also leaves the cell's lines, in log order, in
     `cache[_LINES]` for `run_matrix` to hash and write."""
     cfg.validate()
     events: list[dict] = []
-    flows_by_agent = generate_traffic(cfg)
-    total_bytes = sum(f.byte_count for flows in flows_by_agent.values() for f in flows)
+    entry = _shared(cfg, cache)
+    if "traffic" not in entry:
+        entry["traffic"] = present_traffic(cfg)
+    traffic = entry["traffic"]
     n_windows = int(round(cfg.duration / cfg.window_length))
     events.append({
         "kind": "run_info", "t": 0.0, "scheme": cfg.scheme,
@@ -257,14 +319,10 @@ def run(cfg: ScenarioConfig,
         "link_delay": cfg.link_delay, "analysis_delay": cfg.analysis_delay,
         "n_agents": len(cfg.agents), "n_windows": n_windows,
         "attack_start": min((a.start_time for a in cfg.attacks), default=None),
-        "total_traffic_bytes": total_bytes,
+        "total_traffic_bytes": traffic.total_traffic_bytes,
     })
-    for agent_id in sorted(flows_by_agent):
-        mal = [f.start_time for f in flows_by_agent[agent_id]
-               if f.truth_label == LABEL_MALICIOUS]
-        if mal:
-            events.append({"kind": "first_malicious_arrival", "t": min(mal),
-                           "agent": agent_id})
+    for agent_id, t in traffic.first_malicious_arrival.items():
+        events.append({"kind": "first_malicious_arrival", "t": t, "agent": agent_id})
 
     central_map, maps = _filters(cfg, cache)
     # only mecshield arms filters on demand; the others count as always on
@@ -276,8 +334,6 @@ def run(cfg: ScenarioConfig,
     controller = Controller(topology, thresholds=cfg.detection,
                             policy_ttl=cfg.policy_ttl, log=events)
 
-    window_flows = {agent_id: _window_buckets(flows, cfg.window_length)
-                    for agent_id, flows in flows_by_agent.items()}
     agent_order = sorted(agents)
     ctrl_work_by_window: dict[int, int] = {w: 0 for w in range(n_windows)}
     agent_work_by_window: dict[int, int] = {w: 0 for w in range(n_windows)}
@@ -303,24 +359,24 @@ def run(cfg: ScenarioConfig,
             agents[policy.agent_id].apply_policy(policy, at)
 
     for w in range(n_windows):
-        t = round((w + 1) * cfg.window_length, 9)
+        t = window_close(w, cfg.window_length)
         deliver(t)
         reports = []
         for agent_id in agent_order:
             agent = agents[agent_id]
             agent.tick(t)
-            flows = window_flows[agent_id].get(w, [])
+            window = traffic.windows[agent_id][w]
+            flows = window.flows
             if central_map is None:
-                verdicts, work = agent.ingest(flows, t)
+                verdicts, work = agent.ingest(flows, window.vectors, t)
                 agent_work_by_window[w] += work
                 log_verdicts(agent_id, flows, verdicts)
             else:
-                stats = agent.observe(flows, t)
+                agent.observe(flows, t)
                 if flows:
                     b = round(t + link, 9)
-                    vecs = extract(flows, cfg.feature_mode, cfg.norm_spec, stats)
-                    labels = central_map.classify_batch(vecs)
-                    for v, lab in zip(vecs, labels):
+                    labels = central_map.classify_batch(window.vectors)
+                    for v, lab in zip(window.vectors, labels):
                         central_map.train_step(v, cfg.hyperparams, label=lab)
                     # one unit per flow classified, one per flow trained
                     controller.work_units += 2 * len(flows)
@@ -475,8 +531,8 @@ def metrics_row(m: RunMetrics, digest: str) -> dict:
 
 def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
                attack_levels: list[float], out=None):
-    """Cross product of (scheme, level) runs; traffic seeds are shared within a
-    level so every scheme faces identical flows, and pretraining is done once
+    """Cross product of (scheme, level) runs; every scheme faces identical
+    flows, and the traffic, its features and the pretraining are built once
     per level.
 
     Each cell's digest hashes the canonical lines `run` built for its sort.

@@ -46,6 +46,12 @@ APP_LAYER_MODES = ("session_flood", "request_flood", "asymmetric")
 # for any count
 SORT_CHECK_LOOP_MAX = 48
 
+# The most flows one cell (run and pretraining) or one `gen` call may
+# generate, and one flow CSV may hold; the largest benchmark cell counts about
+# 43,000.  Beyond it a run takes hours or exhausts memory, and once 1/rate is
+# below the spacing of floats near t, a generator's `t += 1/rate` never ends.
+MAX_FLOWS = 10_000_000
+
 # the most packets one flow CSV may claim in all: `load_flow_csv` builds 8 B
 # of timestamps per packet, 400 MB at the cap
 CSV_PACKETS_MAX = 50_000_000
@@ -351,15 +357,19 @@ def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
 
 def load_flow_csv(path) -> list[FlowRecord]:
     """Parse the documented flow-record schema; packet timestamps are
-    synthesized uniformly over [start_time, end_time]."""
+    synthesized uniformly over [start_time, end_time].  Rows are read as they
+    stream, so the file's rows are never held beside its flows."""
     try:
         with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+            return _parse_flow_rows(path, csv.reader(f))
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"{path}: cannot read flow CSV: {e}") from e
-    if not rows:
+
+
+def _parse_flow_rows(path, rows) -> list[FlowRecord]:
+    header = next(rows, None)
+    if header is None:
         raise DataError(f"{path}: empty file, expected header {','.join(CSV_HEADER)}")
-    header = rows[0]
     if [h.strip() for h in header] != CSV_HEADER:
         missing = set(CSV_HEADER) - {h.strip() for h in header}
         if missing:
@@ -367,9 +377,12 @@ def load_flow_csv(path) -> list[FlowRecord]:
         raise DataError(f"{path}: header {header} does not match schema {CSV_HEADER}")
     flows = []
     packets = 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
+        if len(flows) >= MAX_FLOWS:
+            raise DataError(f"{path}:{lineno}: the file holds more than "
+                            f"MAX_FLOWS = {MAX_FLOWS} flows")
         if len(row) != len(CSV_HEADER):
             raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         try:

@@ -1,12 +1,17 @@
 """Acceptance gate: one test per release criterion, each printing a single
 pass/fail line.  The scheme-comparison criteria share one 10-seed sweep of the
-built-in reference scenario (session fixture below), so this module takes a
-few minutes; run it with `pytest tests/test_acceptance.py -v -s`.
+built-in reference scenario (session fixture below, its seeds spread over two
+worker processes), so this module takes longest; run it with
+`pytest tests/test_acceptance.py -v -s`.
 """
 from array import array
+from concurrent.futures import ProcessPoolExecutor
 import hashlib
 import math
+import multiprocessing
+import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,7 @@ from mecshield.som import (BENIGN, MALICIOUS, SomHyperParams, SomMap,
                            init_map)
 from mecshield.traffic import (AMPLIFICATION, AttackProfile, FlowRecord,
                                gen_attack, load_flow_csv)
+from test_agent import ingest
 
 DATA = Path(__file__).parent / "data"
 LEVELS = [50.0, 100.0, 200.0, 300.0]
@@ -31,20 +37,34 @@ def report(num, desc, ok):
     assert ok, f"criterion {num} failed: {desc}"
 
 
-@pytest.fixture(scope="session")
-def sweep():
-    """Reference-scenario metrics for the scheme-comparison criteria:
-    mecshield and centralized across all levels, distributed at level 100,
-    all over 10 paired seeds.  The cells of one seed share pretraining."""
+def _seed_cells(seed):
+    """One seed's cells of the sweep, which share one cache.  A worker process
+    does not inherit pytest's warning filters, so it sets the one the tests
+    run under."""
     cells = {}
-    for seed in SEEDS:
-        cache = {}
+    cache = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         for scheme, levels in [("mecshield", LEVELS), ("centralized", LEVELS),
                                ("distributed", [100.0])]:
             for level in levels:
                 cfg = reference_config().scenario_for(scheme, level, seed=seed)
                 metrics, _ = run(cfg, cache=cache)
                 cells[(scheme, level, seed)] = metrics
+    return cells
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """Reference-scenario metrics for the scheme-comparison criteria:
+    mecshield and centralized across all levels, distributed at level 100,
+    all over 10 paired seeds.  The cells of one seed share pretraining and
+    traffic; the seeds run in worker processes, one per core (at most two)."""
+    cells = {}
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        for seed_cells in pool.map(_seed_cells, SEEDS):
+            cells.update(seed_cells)
     base = reference_config().scenario
     meta = {"link_delay": base.link_delay,
             "window_length": base.window_length,
@@ -251,7 +271,7 @@ def test_criterion_10_state_machine_safety():
                             2, "TCP", 80, 1, 60.0, t, t,
                             packet_timestamps=array("d", [t])))
                 mode_before = a.mode
-                verdicts, _ = a.ingest(flows, now + 5.0)
+                verdicts, _ = ingest(a, flows, now + 5.0)
                 now += 5.0
                 enforced = [v for v in verdicts if v.decision != FORWARD]
                 if enforced and a.mode != PROTECTION:

@@ -8,6 +8,7 @@ import pytest
 from mecshield.agent import (Agent, AgentConfig, DROP, FORWARD, NORMAL,
                              PROTECTION, R_POLICY_DROP, R_SOM_MALICIOUS)
 from mecshield.controller import Policy, ROLE_DESTINATION, ROLE_SOURCE
+from mecshield.features import NormalizationSpec, extract, window_stats
 from mecshield.som import BENIGN, MALICIOUS, SomHyperParams, SomMap
 from mecshield.traffic import FlowRecord
 
@@ -44,6 +45,15 @@ def fresh_agent(**kw):
     return Agent("a1", labeled_map(), cfg, **kw)
 
 
+def ingest(a, flows, now):
+    """`a.ingest` given the vectors a run gives it: the flows extracted over
+    the window that closes at `now`."""
+    L = a.config.window_length
+    vectors = extract(flows, a.config.feature_mode, NormalizationSpec(),
+                      window_stats(flows, now - L, L))
+    return a.ingest(flows, vectors, now)
+
+
 def make_policy(pid="pol-1", role=ROLE_SOURCE, agent="a1", issued=0.0,
                 ttl=300.0):
     return Policy(policy_id=pid, target_addrs=[2], attack_method="syn_flood",
@@ -54,24 +64,31 @@ def make_policy(pid="pol-1", role=ROLE_SOURCE, agent="a1", issued=0.0,
 def test_normal_mode_forwards_everything():
     a = fresh_agent()
     flows = [benign_flow(i, 0.5 + 0.1 * i) for i in range(4)]
-    verdicts, work = a.ingest(flows, 5.0)
+    verdicts, work = ingest(a, flows, 5.0)
     assert [v.decision for v in verdicts] == [FORWARD] * 4
     assert a.mode == NORMAL
     assert work == 4                       # training only, no classification
     assert a.flows_forwarded == 4
 
 
+def test_ingest_takes_one_vector_per_flow():
+    a = fresh_agent()
+    flows = [benign_flow(0, 1.0), benign_flow(1, 1.5)]
+    with pytest.raises(ValueError, match="2 flows but 1 vectors"):
+        a.ingest(flows, np.zeros((1, 5)), 5.0)
+
+
 def test_training_continues_in_normal_mode():
     a = fresh_agent()
     before = a.som.epoch
-    a.ingest([benign_flow(0, 1.0)], 5.0)
+    ingest(a, [benign_flow(0, 1.0)], 5.0)
     assert a.som.epoch == before + 1
 
 
 def test_local_trigger_arms_protection():
     a = fresh_agent()
     flows = [malicious_flow(i, 1.0 + 0.1 * i, src=200 + i) for i in range(5)]
-    a.ingest(flows, 5.0)
+    ingest(a, flows, 5.0)
     assert a.mode == PROTECTION
     assert a.last_malicious_seen == 5.0
     assert any(e["kind"] == "mode" and e["mode"] == PROTECTION for e in a.log)
@@ -80,7 +97,7 @@ def test_local_trigger_arms_protection():
 def test_below_trigger_stays_normal():
     a = fresh_agent()
     flows = [malicious_flow(i, 1.0, src=200 + i) for i in range(4)]
-    verdicts, _ = a.ingest(flows, 5.0)
+    verdicts, _ = ingest(a, flows, 5.0)
     assert a.mode == NORMAL
     assert all(v.decision == FORWARD for v in verdicts)
 
@@ -89,7 +106,7 @@ def test_protection_drops_malicious_forwards_benign():
     a = fresh_agent()
     a._enter_protection(5.0, "test")
     flows = [benign_flow(0, 5.5), malicious_flow(1, 5.5)]
-    verdicts, work = a.ingest(flows, 10.0)
+    verdicts, work = ingest(a, flows, 10.0)
     by_id = {v.flow_id: v for v in verdicts}
     assert by_id["b0"].decision == FORWARD
     assert by_id["m1"].decision == DROP
@@ -101,10 +118,10 @@ def test_policy_drops_heavy_flows_and_blocks_no_source():
     a = fresh_agent()
     a.apply_policy(make_policy(), 10.0)
     heavy = malicious_flow(0, 10.5, src=300, pkts=1200)
-    verdicts, _ = a.ingest([heavy], 15.0)
+    verdicts, _ = ingest(a, [heavy], 15.0)
     assert (verdicts[0].decision, verdicts[0].reason) == (DROP, R_POLICY_DROP)
     # the source's next flow is classified on its own
-    verdicts, _ = a.ingest([benign_flow(1, 15.5, src=300)], 20.0)
+    verdicts, _ = ingest(a, [benign_flow(1, 15.5, src=300)], 20.0)
     assert verdicts[0].decision == FORWARD and verdicts[0].classified
 
 
@@ -119,7 +136,7 @@ def test_destination_policy_drops_attack_flows():
     a = fresh_agent()
     a.apply_policy(make_policy(role=ROLE_DESTINATION), 1.0)
     assert a.mode == PROTECTION
-    verdicts, work = a.ingest([benign_flow(0, 5.5), malicious_flow(1, 5.5)], 10.0)
+    verdicts, work = ingest(a, [benign_flow(0, 5.5), malicious_flow(1, 5.5)], 10.0)
     by_id = {v.flow_id: v for v in verdicts}
     assert by_id["b0"].decision == FORWARD
     assert (by_id["m1"].decision, by_id["m1"].reason) == (DROP, R_POLICY_DROP)
@@ -161,7 +178,7 @@ def test_report_conservation():
     a = fresh_agent()
     flows = [benign_flow(i, 1.0, src=100 + i % 3, dst=2 + i % 2) for i in range(7)]
     flows += [malicious_flow(i, 2.0, src=200 + i) for i in range(3)]
-    a.ingest(flows, 5.0)
+    ingest(a, flows, 5.0)
     rep = a.make_report()
     assert rep.window_start == 0.0
     dests = rep.per_destination.values()
@@ -172,7 +189,7 @@ def test_report_conservation():
 
 def test_empty_window_report():
     a = fresh_agent()
-    a.ingest([], 5.0)
+    ingest(a, [], 5.0)
     rep = a.make_report()
     assert rep.per_destination == {}
     assert rep.window_start == 0.0
@@ -217,7 +234,7 @@ def test_fuzzed_interleavings_small():
                                      src=100 + int(rng.integers(5)))
                          for i in range(k)]
                 mode_before = a.mode
-                verdicts, _ = a.ingest(flows, now + 5.0)
+                verdicts, _ = ingest(a, flows, now + 5.0)
                 now += 5.0
                 enforced = [v for v in verdicts if v.decision != FORWARD]
                 if enforced:

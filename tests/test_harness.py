@@ -14,6 +14,7 @@ from mecshield import harness
 from mecshield.config import SCHEMES, reference_config
 from mecshield.controller import Controller
 from mecshield.errors import ConfigError
+from mecshield.features import extract_one, window_stats
 from mecshield.harness import (build_training_set, compute_metrics, derive_seed,
                                event_log_digest, flows_to_samples, generate_traffic,
                                metrics_row,
@@ -318,26 +319,74 @@ def test_run_invariants_hold(scheme, seed, level):
 def test_run_matrix_pretrains_once_and_matches_separate_runs(monkeypatch):
     cfg = tiny_cfg()
     levels = [50.0, 100.0]
-    calls = []
-    build = harness.build_training_set
+    calls, traffic_calls = [], []
+    build, generate = harness.build_training_set, harness.generate_traffic
 
     def counting(c, agent, **kw):
         calls.append((agent.agent_id, c.attack_level))
         return build(c, agent, **kw)
 
+    def counting_traffic(c):
+        traffic_calls.append((c.seed, c.attack_level))
+        return generate(c)
+
     monkeypatch.setattr(harness, "build_training_set", counting)
+    monkeypatch.setattr(harness, "generate_traffic", counting_traffic)
     rows, _ = run_matrix(cfg, list(SCHEMES), levels)
     assert sorted(calls) == sorted((a.agent_id, lv) for a in cfg.agents for lv in levels)
+    assert sorted(traffic_calls) == [(cfg.seed, lv) for lv in levels]
     got = {(r["scheme"], r["attack_level"]): r["event_digest"] for r in rows}
     separate = {(s, lv): event_log_digest(run(cfg.for_cell(s, lv))[1])
                 for s in SCHEMES for lv in levels}
     assert got == separate
-    # cells that share one cache keep getting untouched maps
+    # cells that share one cache keep getting untouched maps and traffic,
+    # and the cells of two seeds interleaved through it each get their own
+    other = cfg.seed + 1
+    separate.update({(s, other): event_log_digest(run(cfg.for_cell(s, 100.0, seed=other))[1])
+                     for s in SCHEMES})
     cache = {}
     for scheme in SCHEMES:
         for _ in range(2):
             _, events = run(cfg.for_cell(scheme, 100.0), cache=cache)
             assert event_log_digest(events) == separate[(scheme, 100.0)]
+            _, events = run(cfg.for_cell(scheme, 100.0, seed=other), cache=cache)
+            assert event_log_digest(events) == separate[(scheme, other)]
+
+
+def test_presented_vectors_are_each_agents_window_exactly():
+    # at L = 0.7 the window an agent closes at round((w+1)*L, 9) does not
+    # start at w*L in floats, and contiguity reads the start
+    cfg = tiny_cfg(level=300.0)
+    cfg.window_length = 0.7
+    cfg.duration = 0.7 * 43
+    L = cfg.window_length
+    traffic = harness.present_traffic(cfg)
+    flows_by_agent = generate_traffic(cfg)
+    assert set(traffic.windows) == set(flows_by_agent)
+    rows = moved = 0
+    for agent_id, windows in traffic.windows.items():
+        assert len(windows) == 43
+        assert [f for win in windows for f in win.flows] == flows_by_agent[agent_id]
+        for w, win in enumerate(windows):
+            start = round((w + 1) * L, 9) - L
+            assert win.vectors.shape == (len(win.flows), 5)
+            with pytest.raises(ValueError, match="read-only"):
+                win.vectors[...] = 0.0
+            stats = window_stats(win.flows, start, L)
+            naive = window_stats(win.flows, w * L, L)
+            for flow, row in zip(win.flows, win.vectors):
+                want = extract_one(flow, cfg.feature_mode, cfg.norm_spec, stats)
+                assert row.tobytes() == want.tobytes()
+                rows += 1
+                moved += row.tobytes() != extract_one(
+                    flow, cfg.feature_mode, cfg.norm_spec, naive).tobytes()
+    assert moved > 0 and rows > moved
+    assert traffic.total_traffic_bytes == sum(
+        f.byte_count for flows in flows_by_agent.values() for f in flows)
+    assert traffic.first_malicious_arrival == {
+        a: min(f.start_time for f in flows if f.truth_label == LABEL_MALICIOUS)
+        for a, flows in sorted(flows_by_agent.items())
+        if any(f.truth_label == LABEL_MALICIOUS for f in flows)}
 
 
 def test_digest_equal_across_interpreters():

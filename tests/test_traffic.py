@@ -1,5 +1,6 @@
 """Traffic generator and CSV ingestion tests."""
 import hashlib
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -367,3 +368,32 @@ def test_csv_packet_total_is_capped(tmp_path, monkeypatch):
                                "f2,1,2,TCP,80,1,100,2,3,benign"]) + "\n")
     with pytest.raises(DataError, match=r"heavy\.csv:4: .*CSV_PACKETS_MAX = 10\b"):
         load_flow_csv(path)
+
+
+def test_csv_row_count_is_capped(tmp_path, monkeypatch):
+    monkeypatch.setattr("mecshield.traffic.MAX_FLOWS", 2)
+    path = tmp_path / "many.csv"
+    rows = ["f0,1,2,TCP,80,1,60,0,0,benign", "", "f1,1,2,TCP,80,1,60,1,1,benign"]
+    path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    assert [f.flow_id for f in load_flow_csv(path)] == ["f0", "f1"]
+    path.write_text("\n".join([",".join(CSV_HEADER), *rows,
+                               "f2,1,2,TCP,80,1,60,2,2,benign"]) + "\n")
+    with pytest.raises(DataError, match=r"many\.csv:5: .*MAX_FLOWS = 2\b"):
+        load_flow_csv(path)
+
+
+def test_csv_rows_stream(tmp_path):
+    # one row at a time: the peak is about the flows returned, where holding
+    # every row as strings first took about twice that
+    path = tmp_path / "short.csv"
+    n = 20_000
+    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(
+        f"f{i},1,2,TCP,80,1,60,{i},{i},benign\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        flows = load_flow_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(flows) == n
+    assert peak < 1.2 * held
