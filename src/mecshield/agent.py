@@ -42,7 +42,6 @@ class DestinationStats:
 @dataclass
 class TrafficReport:
     agent_id: str
-    window_start: float
     per_destination: dict                   # dst_addr -> DestinationStats
 
 
@@ -75,8 +74,6 @@ class Agent:
         self.flows_dropped = 0
         self.work_units = 0
         self.log = log if log is not None else []
-        self._window_flows: list[FlowRecord] = []
-        self._window_start = 0.0
 
     def _log(self, t: float, kind: str, **fields) -> None:
         self.log.append({"t": t, "agent": self.agent_id, "kind": kind, **fields})
@@ -88,13 +85,6 @@ class Agent:
 
     def _policy_active(self, now: float) -> bool:
         return self.active_policy is not None and self.active_policy.expires_at > now
-
-    def _intake(self, flows: list[FlowRecord], now: float) -> None:
-        """Count one window's flows and keep them, with the window's start,
-        for the report."""
-        self._window_flows = list(flows)
-        self._window_start = now - self.config.window_length
-        self.flows_processed += len(flows)
 
     # -- main ingest path --------------------------------------------------
 
@@ -113,7 +103,7 @@ class Agent:
         if len(vectors) != len(flows):
             raise ValueError(f"{len(flows)} flows but {len(vectors)} vectors")
         cfg = self.config
-        self._intake(flows, now)
+        self.flows_processed += len(flows)
         verdicts: list[Verdict] = []
         work = 0
         malicious_in_window = 0
@@ -164,22 +154,21 @@ class Agent:
         (centralized scheme)."""
         return [self._decide(flow, now, label) for flow, label in zip(flows, labels)]
 
-    def observe(self, flows: list[FlowRecord], now: float) -> None:
-        """Record a window for reporting without filtering or training
+    def observe(self, flows: list[FlowRecord]) -> None:
+        """Count a window's flows without filtering or training them
         (centralized scheme: the traffic is forwarded wholesale)."""
-        self._intake(flows, now)
+        self.flows_processed += len(flows)
 
     # -- reporting / control -----------------------------------------------
 
-    def make_report(self) -> TrafficReport:
-        """Per-destination statistics of the last ingested window."""
+    def make_report(self, flows: list[FlowRecord]) -> TrafficReport:
+        """Per-destination statistics of one window's flows."""
         per_dst: dict[int, DestinationStats] = {}
-        for f in self._window_flows:
+        for f in flows:
             d = per_dst.setdefault(f.dst_addr, DestinationStats())
             d.flows += 1
             d.packets += f.packet_count
-        return TrafficReport(agent_id=self.agent_id, window_start=self._window_start,
-                             per_destination=per_dst)
+        return TrafficReport(agent_id=self.agent_id, per_destination=per_dst)
 
     def apply_policy(self, policy, now: float) -> None:
         """Install a controller directive: activate protection, filtering with

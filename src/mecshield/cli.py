@@ -13,7 +13,7 @@ from pathlib import Path
 from .config import RunConfig, config_to_dict, load_config, reference_config
 from .errors import ConfigError, DataError
 from .features import MODE_DIM
-from .harness import METRIC_COLUMNS, flows_to_samples, run_matrix, train_map
+from .harness import METRIC_COLUMNS, confusion, flows_to_samples, run_matrix, train_map
 from .som import BENIGN, MALICIOUS, SomMap
 from .traffic import (MAX_FLOWS, AttackProfile, default_benign_profile, gen_attack,
                       gen_benign, load_flow_csv, write_flow_csv)
@@ -139,21 +139,9 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.dataset}: no flows to evaluate")
     vectors, labels = flows_to_samples(flows, modes[m.dim], sc.norm_spec,
                                        sc.window_length)
-    predicted = m.classify_batch(vectors)
-    tp = fp = tn = fn = 0
-    for truth, pred in zip(labels, predicted):
-        if truth == MALICIOUS:
-            if pred == MALICIOUS:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == MALICIOUS:
-                fp += 1
-            else:
-                tn += 1
-    dr = tp / (tp + fn) if (tp + fn) else None
-    acc = (tp + tn) / len(labels) if labels else None
+    tp, fp, tn, fn, dr, acc = confusion(
+        (truth == MALICIOUS, pred == MALICIOUS)
+        for truth, pred in zip(labels, m.classify_batch(vectors)))
     result = {"tp": tp, "fp": fp, "tn": tn, "fn": fn,
               "detection_rate": dr, "accuracy": acc, "samples": len(labels)}
     print(json.dumps(result, sort_keys=True))

@@ -59,33 +59,24 @@ class DetectionThresholds:
 class Controller:
     """Sequential message processor: collect -> analyze -> make_policies."""
 
-    def __init__(self, topology: dict[str, list[tuple[int, int]]],
+    def __init__(self, topology: dict[str, tuple[int, int]],
                  thresholds: DetectionThresholds | None = None,
                  policy_ttl: float = 300.0, log: list | None = None):
         self.topology = topology
         self.thresholds = thresholds or DetectionThresholds()
         self.policy_ttl = policy_ttl
         self.work_units = 0
-        self.warnings: list[str] = []
         self.log = log if log is not None else []
-        self._seen: set[tuple[str, float]] = set()
         self._policy_seq = 0
         self._dispatched: dict[str, float] = {}   # agent -> expiry of its last policy
 
     # -- report collection -------------------------------------------------
 
     def collect(self, reports: list[TrafficReport]) -> AggregateView:
-        """Sum per-destination statistics and note which agents reported
-        each destination; duplicate (agent, window) reports are dropped with
-        a warning."""
+        """Sum one window's per-destination statistics, one report per agent,
+        and note which agents reported each destination."""
         view = AggregateView()
         for r in reports:
-            key = (r.agent_id, r.window_start)
-            if key in self._seen:
-                self.warnings.append(
-                    f"duplicate report from {r.agent_id} for window {r.window_start}")
-                continue
-            self._seen.add(key)
             self.work_units += 1
             for dst, d in r.per_destination.items():
                 v = view.per_destination.setdefault(dst, DestinationStats())
@@ -123,8 +114,8 @@ class Controller:
     # -- policy generation -------------------------------------------------
 
     def _owners(self, addr: int) -> list[str]:
-        return sorted(agent_id for agent_id, ranges in self.topology.items()
-                      if any(lo <= addr <= hi for lo, hi in ranges))
+        return sorted(agent_id for agent_id, (lo, hi) in self.topology.items()
+                      if lo <= addr <= hi)
 
     def make_policies(self, assessment: AttackAssessment, now: float) -> list[Policy]:
         """One destination policy per victim-side agent, one source policy per

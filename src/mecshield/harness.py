@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,6 @@ class RunMetrics:
     flows_presented: int
     flows_forwarded: int
     flows_dropped: int
-    flows_blocked: int
     total_traffic_bytes: float
 
 
@@ -238,13 +238,16 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None
     return [vectors[i] for i in order], [labels[i] for i in order]
 
 
+# every map starts from this one codebook seed, whatever the run's seed, so
+# per-neuron merging stays meaningful; it is zlib.crc32(b"som")
+MAP_SEED = 0x78906596
+
+
 def train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
     """A labeled map trained on the samples, as every run and `mecshield
     train` train it."""
-    # every map starts from one shared initial codebook (the controller hands
-    # out the untrained map), so per-neuron merging stays meaningful
     m = init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode],
-                 seed=derive_seed(cfg.seed, "som")[-1])
+                 seed=MAP_SEED)
     m.train(vectors, labels, cfg.hyperparams)
     m.label_neurons()
     return m
@@ -330,7 +333,7 @@ def run(cfg: ScenarioConfig,
                                 filter_always_on=(cfg.scheme != SCHEME_MECSHIELD))
               for a, m in zip(cfg.agents, maps)}
 
-    topology = {a.agent_id: [(a.addr_lo, a.addr_hi)] for a in cfg.agents}
+    topology = {a.agent_id: (a.addr_lo, a.addr_hi) for a in cfg.agents}
     controller = Controller(topology, thresholds=cfg.detection,
                             policy_ttl=cfg.policy_ttl, log=events)
 
@@ -372,7 +375,7 @@ def run(cfg: ScenarioConfig,
                 agent_work_by_window[w] += work
                 log_verdicts(agent_id, flows, verdicts)
             else:
-                agent.observe(flows, t)
+                agent.observe(flows)
                 if flows:
                     b = round(t + link, 9)
                     labels = central_map.classify_batch(window.vectors)
@@ -383,7 +386,7 @@ def run(cfg: ScenarioConfig,
                     ctrl_work_by_window[ctrl_window(b)] += 2 * len(flows)
                     log_verdicts(agent_id, flows, agent.enforce(
                         flows, labels, round(b + analysis + link, 9)))
-            reports.append(agent.make_report())
+            reports.append(agent.make_report(flows))
         events.append({"kind": "filters", "t": (w + 1) * cfg.window_length,
                        "window": w,
                        "active": sum(1 for a in agents.values() if a.mode == PROTECTION)})
@@ -411,7 +414,9 @@ def run(cfg: ScenarioConfig,
                    "work_units": controller.work_units,
                    "work_by_window": {str(k): v for k, v in sorted(ctrl_work_by_window.items())},
                    "agent_work_by_window": {str(k): v for k, v in sorted(agent_work_by_window.items())},
-                   "warnings": list(controller.warnings)})
+                   # one report per agent and window leaves nothing to warn
+                   # about; `warnings` stays because digests pin the log format
+                   "warnings": []})
     # the index keeps equal keys in log order, as a stable sort would, so
     # the sort never compares two events
     keyed = sorted((e["t"], _EVENT_RANK.get(e["kind"], len(_EVENT_RANK)),
@@ -433,39 +438,35 @@ _EVENT_RANK = {kind: i for i, kind in enumerate(
 
 # -- metrics ---------------------------------------------------------------
 
+def confusion(pairs) -> tuple[int, int, int, int, float | None, float | None]:
+    """(tp, fp, tn, fn, detection rate, accuracy) over (truly malicious,
+    called malicious) pairs; a rate whose denominator is 0 is None."""
+    counts = Counter(pairs)
+    tp, fp = counts[True, True], counts[False, True]
+    tn, fn = counts[False, False], counts[True, False]
+    dr = tp / (tp + fn) if (tp + fn) else None
+    acc = (tp + tn) / (tp + fp + tn + fn) if (tp + fp + tn + fn) else None
+    return tp, fp, tn, fn, dr, acc
+
+
 def compute_metrics(events: list[dict]) -> RunMetrics:
     """Recompute all run metrics from the event log alone; bit-stable."""
     info = next(e for e in events if e["kind"] == "run_info")
-    tp = fp = tn = fn = 0
+    pairs = []
     first_mal: dict[str, float] = {}
     first_enforced: dict[str, float] = {}
-    missing_truth = False
     for e in events:
         if e["kind"] == "first_malicious_arrival":
             first_mal[e["agent"]] = e["t"]
         elif e["kind"] == "classify":
             truth = e.get("truth")
             if truth is None:
-                missing_truth = True
-                continue
+                raise ValueError("event log is missing ground-truth labels")
             predicted_malicious = e["decision"] == DROP
-            if truth == LABEL_MALICIOUS:
-                if predicted_malicious:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if predicted_malicious:
-                    fp += 1
-                else:
-                    tn += 1
+            pairs.append((truth == LABEL_MALICIOUS, predicted_malicious))
             if predicted_malicious and e["agent"] not in first_enforced:
                 first_enforced[e["agent"]] = e["t"]
-    if missing_truth:
-        raise ValueError("event log is missing ground-truth labels")
-    classified = tp + fp + tn + fn
-    dr = tp / (tp + fn) if (tp + fn) else None
-    acc = (tp + tn) / classified if classified else None
+    tp, fp, tn, fn, dr, acc = confusion(pairs)
     reactions = [max(0.0, first_enforced[agent_id] - t0)
                  for agent_id, t0 in first_mal.items() if agent_id in first_enforced]
     reaction = sum(reactions) / len(reactions) if reactions else None
@@ -482,7 +483,7 @@ def compute_metrics(events: list[dict]) -> RunMetrics:
         ctrl_attack_mean = sum(vals) / len(vals) if vals else None
     else:
         ctrl_attack_mean = None
-    agg = {"processed": 0, "forwarded": 0, "dropped": 0, "blocked": 0}
+    agg = {"processed": 0, "forwarded": 0, "dropped": 0}
     for e in events:
         if e["kind"] == "agent_summary":
             for k in agg:
@@ -496,7 +497,7 @@ def compute_metrics(events: list[dict]) -> RunMetrics:
         active_filters_by_window=filters,
         active_filter_integral=sum(filters.values()) * win_len,
         flows_presented=agg["processed"], flows_forwarded=agg["forwarded"],
-        flows_dropped=agg["dropped"], flows_blocked=agg["blocked"],
+        flows_dropped=agg["dropped"],
         total_traffic_bytes=info["total_traffic_bytes"],
     )
 
@@ -520,7 +521,7 @@ METRIC_COLUMNS = ["scheme", "attack_level", "seed", "reaction_time",
                   "detection_rate", "accuracy", "tp", "fp", "tn", "fn",
                   "controller_work_attack_mean", "active_filter_integral",
                   "flows_presented", "flows_forwarded", "flows_dropped",
-                  "flows_blocked", "total_traffic_bytes", "event_digest"]
+                  "total_traffic_bytes", "event_digest"]
 
 
 def metrics_row(m: RunMetrics, digest: str) -> dict:

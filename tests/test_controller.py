@@ -14,17 +14,17 @@ from mecshield.harness import run
 from mecshield.traffic import APP_LAYER_MODES
 
 TOPOLOGY = {
-    "a": [(0x0A000000, 0x0A00FFFF)],
-    "b": [(0x0A010000, 0x0A01FFFF)],
-    "c": [(0x0A020000, 0x0A02FFFF)],
+    "a": (0x0A000000, 0x0A00FFFF),
+    "b": (0x0A010000, 0x0A01FFFF),
+    "c": (0x0A020000, 0x0A02FFFF),
 }
 VICTIM = 0x0A020042
 
 
-def report(agent="a", start=0.0, dests=None):
+def report(agent="a", dests=None):
     per_dst = {dst: DestinationStats(flows=flows, packets=packets)
                for dst, (flows, packets) in (dests or {}).items()}
-    return TrafficReport(agent_id=agent, window_start=start, per_destination=per_dst)
+    return TrafficReport(agent_id=agent, per_destination=per_dst)
 
 
 def test_collect_sums_across_agents():
@@ -37,14 +37,6 @@ def test_collect_sums_across_agents():
     assert v.packets == 45
     assert view.reporters == {VICTIM: {"a", "b"}}
     assert c.work_units == 2
-
-
-def test_collect_dedups_duplicate_windows():
-    c = Controller(TOPOLOGY)
-    r = report("a", start=10.0, dests={VICTIM: (3, 6)})
-    view = c.collect([r, r])
-    assert view.per_destination[VICTIM].flows == 3
-    assert c.warnings and "duplicate" in c.warnings[0]
 
 
 def test_collect_empty():
@@ -188,8 +180,8 @@ def test_policies_go_to_victim_owners_and_reporting_agents(reps):
     if not a.detected:
         return
     policies = c.make_policies(a, now=10.0)
-    owners = {agent for agent, ranges in TOPOLOGY.items() for v in a.victim_addrs
-              for lo, hi in ranges if lo <= v <= hi}
+    owners = {agent for agent, (lo, hi) in TOPOLOGY.items() for v in a.victim_addrs
+              if lo <= v <= hi}
     reporters = {agent for agent, d in reps.items()
                  if any(v in d for v in a.victim_addrs)}
     assert {p.agent_id for p in policies if p.role == ROLE_DESTINATION} == owners

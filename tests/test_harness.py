@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,9 @@ from mecshield.config import SCHEMES, reference_config
 from mecshield.controller import Controller
 from mecshield.errors import ConfigError
 from mecshield.features import extract_one, window_stats
-from mecshield.harness import (build_training_set, compute_metrics, derive_seed,
-                               event_log_digest, flows_to_samples, generate_traffic,
-                               metrics_row,
+from mecshield.harness import (MAP_SEED, build_training_set, compute_metrics, confusion,
+                               derive_seed, event_log_digest, flows_to_samples,
+                               generate_traffic, metrics_row, present_traffic,
                                METRIC_COLUMNS, run, run_matrix)
 from mecshield.traffic import LABEL_MALICIOUS
 
@@ -186,8 +187,7 @@ def test_run_deterministic_event_log():
 def test_run_flow_conservation():
     for scheme in SCHEMES:
         m, events = run(small_cfg(scheme=scheme))
-        assert m.flows_presented == (m.flows_forwarded + m.flows_dropped
-                                     + m.flows_blocked)
+        assert m.flows_presented == m.flows_forwarded + m.flows_dropped
         assert m.flows_presented > 0
 
 
@@ -229,6 +229,46 @@ def test_confusion_matrix_oracle():
     assert m.accuracy == pytest.approx((tp + tn) / (tp + fp + tn + fn))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40))
+def test_confusion_matches_a_four_way_count(pairs):
+    want = {k: 0 for k in ("tp", "fp", "tn", "fn")}
+    for truth, called in pairs:
+        want[("t" if truth == called else "f") + ("p" if called else "n")] += 1
+    tp, fp, tn, fn, dr, acc = confusion(iter(pairs))
+    assert (tp, fp, tn, fn) == (want["tp"], want["fp"], want["tn"], want["fn"])
+    positives = sum(truth for truth, _ in pairs)
+    assert (dr is None) == (positives == 0)
+    assert (acc is None) == (not pairs)
+    if positives:
+        assert dr == tp / positives
+    if pairs:
+        assert acc == (tp + tn) / len(pairs)
+
+
+def test_cells_at_two_seeds_start_from_one_codebook(monkeypatch):
+    """Map seeding ignores the run's seed: every map of every cell starts
+    from the codebook of MAP_SEED, which is crc32("som")."""
+    assert MAP_SEED == zlib.crc32(b"som")
+    starts = []
+    init_map = harness.init_map
+
+    def recording(*args, **kw):
+        m = init_map(*args, **kw)
+        starts.append(m.weights.copy())
+        return m
+
+    monkeypatch.setattr(harness, "init_map", recording)
+    for seed in (3, 4):
+        run(tiny_cfg(seed=seed))
+    cfg = tiny_cfg()
+    first = init_map(cfg.som_width, cfg.som_height, starts[0].shape[1],
+                     seed=MAP_SEED).weights
+    assert len(starts) == 2 * len(cfg.agents)
+    for w in starts:
+        assert (w == first).all()
+
+
 @pytest.mark.parametrize("link_delay, analysis_delay",
                          [(0.0, 0.0), (0.0, 0.05), (0.01, 0.0)])
 def test_every_analysis_sees_every_report(monkeypatch, link_delay, analysis_delay):
@@ -238,13 +278,21 @@ def test_every_analysis_sees_every_report(monkeypatch, link_delay, analysis_dela
     collect = Controller.collect
 
     def recording(self, reports):
-        reporters.append([r.agent_id for r in reports])
+        reporters.append([(r.agent_id,
+                           sum(d.flows for d in r.per_destination.values()),
+                           sum(d.packets for d in r.per_destination.values()))
+                          for r in reports])
         return collect(self, reports)
 
     monkeypatch.setattr(Controller, "collect", recording)
     run(cfg)
+    # each report carries exactly the flows its agent was presented that window
+    windows = present_traffic(cfg).windows
     n_windows = round(cfg.duration / cfg.window_length)
-    assert reporters == [sorted(a.agent_id for a in cfg.agents)] * n_windows
+    assert reporters == [[(agent_id, len(windows[agent_id][w].flows),
+                           sum(f.packet_count for f in windows[agent_id][w].flows))
+                          for agent_id in sorted(windows)]
+                         for w in range(n_windows)]
 
 
 def test_centralized_roundtrip_delay():
