@@ -105,16 +105,16 @@ class Agent:
         cfg = self.config
         self.flows_processed += len(flows)
         verdicts: list[Verdict] = []
-        work = 0
         malicious_in_window = 0
         som = self.som
-        # training moves weights but never relabels, so these are fixed for the window
+        # training moves weights but never relabels, so these are fixed for the
+        # window; continuous training in both modes, each step labeled by the
+        # map's own verdict, whose winner also serves the verdict
         labeled = som.is_labeled
         labels = som.labels.tolist()
-        for flow, vec in zip(flows, vectors):
-            # one winner search serves the verdict and the training step, which
-            # is labeled by the map's own verdict
-            win = som.find_winner(vec)
+        wins = som.train_online(vectors, cfg.hyperparams, self_labeled=True)
+        work = len(wins)
+        for flow, win in zip(flows, wins):
             predicted = labels[win] if labeled else None
             if self.mode == PROTECTION and labeled:
                 work += 1
@@ -124,14 +124,11 @@ class Agent:
             else:
                 verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN))
                 self.flows_forwarded += 1
-            # continuous training in both modes
-            som.train_step(vec, cfg.hyperparams, label=predicted, winner=win)
-            work += 1
-            if self.mode == NORMAL and predicted == MALICIOUS:
-                malicious_in_window += 1
-                if malicious_in_window >= cfg.local_trigger_count:
-                    self.last_malicious_seen = now
-                    self._enter_protection(now, "local_trigger")
+                if predicted == MALICIOUS:
+                    malicious_in_window += 1
+                    if malicious_in_window >= cfg.local_trigger_count:
+                        self.last_malicious_seen = now
+                        self._enter_protection(now, "local_trigger")
         self.work_units += work
         return verdicts, work
 

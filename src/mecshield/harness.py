@@ -253,10 +253,14 @@ def train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
     return m
 
 
+def _level_key(cfg: ScenarioConfig) -> tuple:
+    return cfg.seed, cfg.attack_level
+
+
 def _shared(cfg: ScenarioConfig, cache: dict | None) -> dict:
     """The entry of `cache` that the cells of cfg's (seed, level) share, or a
     fresh dict without a cache."""
-    return {} if cache is None else cache.setdefault((cfg.seed, cfg.attack_level), {})
+    return {} if cache is None else cache.setdefault(_level_key(cfg), {})
 
 
 def _filters(cfg: ScenarioConfig, cache: dict | None):
@@ -379,8 +383,7 @@ def run(cfg: ScenarioConfig,
                 if flows:
                     b = round(t + link, 9)
                     labels = central_map.classify_batch(window.vectors)
-                    for v, lab in zip(window.vectors, labels):
-                        central_map.train_step(v, cfg.hyperparams, label=lab)
+                    central_map.train_online(window.vectors, cfg.hyperparams, labels)
                     # one unit per flow classified, one per flow trained
                     controller.work_units += 2 * len(flows)
                     ctrl_work_by_window[ctrl_window(b)] += 2 * len(flows)
@@ -514,7 +517,7 @@ def event_log_digest(events: list[dict]) -> str:
     """SHA-256 of the log's events.jsonl lines.  It serializes every event
     itself, so it checks a log independently of the lines `run` built and
     `run_matrix` hashed."""
-    return _lines_digest(json.dumps(e, sort_keys=True) for e in events)
+    return _lines_digest(_canonical(e) for e in events)
 
 
 METRIC_COLUMNS = ["scheme", "attack_level", "seed", "reaction_time",
@@ -539,7 +542,8 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
     Each cell's digest hashes the canonical lines `run` built for its sort.
     With an open text stream `out`, those lines are written to it as each
     cell finishes (scheme by level, one line per event: events.jsonl), and
-    dropped before the next cell starts.
+    dropped before the next cell starts.  A level's traffic and maps are
+    dropped after its last scheme's cell.
 
     Returns (rows, per-cell event logs keyed by (scheme, level)).
     """
@@ -548,10 +552,13 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
     rows = []
     logs = {}
     cache: dict = {}
-    for scheme in schemes:
+    for i, scheme in enumerate(schemes):
         for level in attack_levels:
-            metrics, events = run(base_cfg.for_cell(scheme, level), cache=cache)
+            cell = base_cfg.for_cell(scheme, level)
+            metrics, events = run(cell, cache=cache)
             lines = cache.pop(_LINES)
+            if i == len(schemes) - 1:
+                cache.pop(_level_key(cell))
             if out is not None:
                 for line in lines:
                     out.write(line + "\n")

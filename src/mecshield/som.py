@@ -122,6 +122,9 @@ class SomMap:
         self.dim = dim
         self._wt = np.array(np.asarray(weights, dtype=np.float64).reshape(n, dim).T,
                             order="C")
+        # -0.0 + 0.0 is +0.0, so no weight is -0.0 and no step makes one: numpy
+        # versions that clip -0.0 to -0.0 and those that clip it to +0.0 agree
+        self._wt += 0.0
         self.labels = np.full(n, UNLABELED, dtype="<U9") if labels is None else np.asarray(labels, dtype="<U9")
         self.hit_counts = np.zeros(n, dtype=np.int64) if hit_counts is None else np.asarray(hit_counts, dtype=np.int64)
         self.benign_wins = np.zeros(n, dtype=np.int64) if benign_wins is None else np.asarray(benign_wins, dtype=np.int64)
@@ -152,60 +155,101 @@ class SomMap:
         Squared distances are compared (argmin-equivalent); ties resolve to
         the lowest row-major index via argmin's first-occurrence rule.
         """
-        return self._winner(self._check_vector(v))
-
-    def _winner(self, v: np.ndarray) -> int:
-        """`find_winner` for a vector already checked."""
-        return int(_sq_dists(v, self._wt).argmin())
+        return int(_sq_dists(self._check_vector(v), self._wt).argmin())
 
     # -- training ----------------------------------------------------------
 
-    def train_step(self, v, hp: SomHyperParams, label: str | None = None,
-                   winner: int | None = None) -> int:
-        """One online update: move the winner and its lattice neighborhood toward v.
-
-        Neurons whose lattice distance to the winner is within the current
-        radius are pulled by a Gaussian neighborhood weight.  Returns the
-        winner index.  `label` (benign/malicious) feeds the winner's vote
-        tally; None updates weights and hit count only.  `winner` is
-        `find_winner(v)` when the caller has already searched these weights.
-        """
-        v = self._check_vector(v)
-        alpha = hp.learning_rate(self.epoch)
-        sigma = hp.radius(self.epoch)
-        win = self._winner(v) if winner is None else winner
-        s2 = sigma * sigma
-        wt = self._wt
-        # convex moves; the clips only guard against ulp-level overshoot at
-        # 0/1, and the neurons that do not move already lie in [0,1].  The
-        # ndarray method skips the np.clip wrapper and gives the same bits.
-        if s2 < 1.0:
-            # lattice distances are whole numbers, so the neighborhood is the
-            # winner alone, at weight exp(-0) = 1 (also once s2 underflows to
-            # 0, where exp(-0/0) would be NaN): the same bits as the mask path
-            col = wt[:, win]                # a view: updates the map in place
-            col += alpha * (v - col)
-            col.clip(0.0, 1.0, out=col)
-        else:
-            near, d2 = _neighbours(self.width, self.height).within(win, s2)
-            h = np.exp(-d2 / (2.0 * sigma * sigma))
-            moved = wt.take(near, axis=1)   # wt[:, near], without its per-neuron loop
-            moved += (alpha * h) * (v[:, None] - moved)
-            moved.clip(0.0, 1.0, out=moved)
-            wt[:, near] = moved
-        self.hit_counts[win] += 1
-        if label == BENIGN:
-            self.benign_wins[win] += 1
-        elif label == MALICIOUS:
-            self.malicious_wins[win] += 1
-        elif label is not None:
-            raise ValueError(f"unknown sample label {label!r}")
-        self.epoch += 1
-        return win
+    def train_step(self, v, hp: SomHyperParams, label: str | None = None) -> int:
+        """One online update, `train_online` of one row: move the winner and
+        its lattice neighborhood toward v and return the winner index.
+        `label` (benign/malicious) feeds the winner's vote tally; None
+        updates weights and hit count only."""
+        return self.train_online(self._check_vector(v)[None], hp, [label])[0]
 
     def train(self, vectors, labels, hp: SomHyperParams) -> None:
-        for v, lab in zip(vectors, labels):
-            self.train_step(v, hp, label=lab)
+        """Pretrain on the samples, in order, each tallied under its label."""
+        self.train_online(vectors, hp, labels)
+
+    def train_online(self, vectors, hp: SomHyperParams, labels=None, *,
+                     self_labeled: bool = False) -> list[int]:
+        """The one training loop, entered here by the agents and the
+        controller map as they learn from the traffic they filter: one step
+        per row, in order, each pulling the row's winner and the neurons
+        within the current lattice radius of it toward the row by a Gaussian
+        neighborhood weight.  Returns each row's winner.
+
+        `labels` holds one benign/malicious/None label per row (None: all
+        unlabeled); with `self_labeled`, each row takes its winner's neuron
+        label (an unlabeled neuron tallies no vote), fixed for the batch
+        since training never relabels.  The batch and labels are checked
+        before any weight moves; the tallies are counted after the loop,
+        which never reads them."""
+        if self_labeled and labels is not None:
+            raise ValueError("self_labeled takes no labels")
+        x = np.asarray(vectors, dtype=np.float64)
+        if x.ndim == 1 and x.size == 0:
+            x = x.reshape(0, self.dim)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"batch has shape {x.shape}, map dimension is {self.dim}")
+        if not np.isfinite(x).all():
+            raise ValueError("training samples must be finite")
+        if labels is not None:
+            labels = list(labels)
+            if len(labels) != len(x):
+                raise ValueError(f"{len(x)} samples but {len(labels)} labels")
+            unknown = [lab for lab in labels if lab not in (BENIGN, MALICIOUS, None)]
+            if unknown:
+                raise ValueError(f"unknown sample label {unknown[0]!r}")
+        if not len(x):
+            return []
+        wt = self._wt
+        # one memoryview per weight dimension: the winner-only step reads and
+        # writes the winner's column as Python floats
+        dims = [memoryview(row) for row in wt]
+        near_of = _neighbours(self.width, self.height).within
+        a0, lr_decay = hp.initial_learning_rate, hp.lr_decay_constant
+        r0, radius_decay = hp.initial_radius, hp.radius_decay_constant
+        exp = math.exp
+        epoch = self.epoch
+        wins = []
+        for v, y in zip(x, x.tolist()):
+            win = int(_sq_dists(v, wt).argmin())
+            alpha = a0 * exp(-epoch / lr_decay)
+            sigma = r0 * exp(-epoch / radius_decay)
+            # convex moves; the clamps to [0,1] only guard against ulp-level
+            # overshoot, and the neurons that do not move already lie there
+            s2 = sigma * sigma
+            if s2 < 1.0:
+                # lattice distances are whole numbers, so the neighborhood is
+                # the winner alone, at weight exp(-0) = 1 (also once sigma^2
+                # underflows to 0, where exp(-0/0) would be NaN).  IEEE
+                # sub/mul/add and a clamp on Python floats: the mask path's bits
+                for col, yd in zip(dims, y):
+                    c = col[win]
+                    c += alpha * (yd - c)
+                    col[win] = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
+            else:
+                near, d2 = near_of(win, s2)
+                h = np.exp(-d2 / (2.0 * sigma * sigma))
+                moved = wt.take(near, axis=1)   # wt[:, near], without its per-neuron loop
+                moved += (alpha * h) * (v[:, None] - moved)
+                moved.clip(0.0, 1.0, out=moved)
+                wt[:, near] = moved
+            wins.append(win)
+            epoch += 1
+        self.epoch = epoch
+        n = self.neuron_count
+        counts = np.bincount(wins, minlength=n)
+        self.hit_counts += counts
+        if self_labeled:
+            self.benign_wins += np.where(self.labels == BENIGN, counts, 0)
+            self.malicious_wins += np.where(self.labels == MALICIOUS, counts, 0)
+        elif labels is not None:
+            for tally, which in ((self.benign_wins, BENIGN),
+                                 (self.malicious_wins, MALICIOUS)):
+                tally += np.bincount([w for w, lab in zip(wins, labels) if lab == which],
+                                     minlength=n)
+        return wins
 
     # -- labeling / classification ----------------------------------------
 

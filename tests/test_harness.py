@@ -1,6 +1,8 @@
 """Simulation harness tests: determinism, paired traffic, conservation,
 metrics recomputation, the run matrix and its pretraining cache."""
 import copy
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -341,6 +343,36 @@ def test_run_matrix_shape_and_determinism():
     assert rows == rows2
     with pytest.raises(ConfigError):
         run_matrix(cfg, [], [50.0])
+
+
+def test_event_log_digest_hashes_json_dumps_lines():
+    _, events = run(tiny_cfg(level=300.0))
+    h = hashlib.sha256()
+    for e in events:
+        h.update((json.dumps(e, sort_keys=True) + "\n").encode())
+    assert event_log_digest(events) == h.hexdigest()
+
+
+def test_run_matrix_drops_each_level_after_its_last_scheme(monkeypatch):
+    cfg = tiny_cfg()
+    levels = [50.0, 100.0]
+    seen = []
+    real_run = harness.run
+
+    def recording(c, cache=None):
+        seen.append(((c.scheme, c.attack_level),
+                     sorted(k for k in cache if isinstance(k[1], float))))
+        return real_run(c, cache=cache)
+
+    monkeypatch.setattr(harness, "run", recording)
+    rows, _ = run_matrix(cfg, ["mecshield", "centralized"], levels)
+    s = cfg.seed
+    assert seen == [(("mecshield", 50.0), []),
+                    (("mecshield", 100.0), [(s, 50.0)]),
+                    (("centralized", 50.0), [(s, 50.0), (s, 100.0)]),
+                    (("centralized", 100.0), [(s, 100.0)])]
+    monkeypatch.setattr(harness, "run", real_run)
+    assert rows == run_matrix(cfg, ["mecshield", "centralized"], levels)[0]
 
 
 def test_metrics_row_columns():

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mecshield.agent import (Agent, AgentConfig, FORWARD, NORMAL, PROTECTION,
+                             R_BENIGN, Verdict)
 from mecshield.config import reference_config
 from mecshield.harness import build_training_set, train_map
 from mecshield.som import (BENIGN, MALICIOUS, UNLABELED, SomHyperParams,
                            SomMap, UnlabeledMapError, _neighbours, _sq_dists,
                            init_map, merge_maps)
+from mecshield.traffic import FlowRecord
 
 
 def brute_force_winner(m, v):
@@ -544,9 +547,9 @@ def test_train_step_matches_reference_on_large_and_oblong_lattices(shape, dim, s
     _assert_steps_match_reference(init_map(*shape, dim, seed=seed), data, max_radius=30.0)
 
 
-def _assert_steps_match_reference(m, data, max_radius):
-    # below sigma^2 = 1 only the winner moves; train_step updates that row
-    # alone and must give the reference's bits, tallies and epoch
+def _draw_schedule(m, data, max_radius) -> SomHyperParams:
+    """Hyperparameters, and an epoch for m on either side of sigma^2 = 1 or
+    past the epoch where sigma^2 underflows to 0."""
     hp = SomHyperParams(initial_learning_rate=data.draw(st.floats(1e-3, 1.0)),
                         initial_radius=data.draw(st.floats(0.1, max_radius)),
                         lr_decay_constant=data.draw(st.floats(100.0, 1e4)),
@@ -558,6 +561,13 @@ def _assert_steps_match_reference(m, data, max_radius):
                                   st.integers(max(0, at_one - 3), at_one + 3),
                                   st.integers(at_one, underflow),
                                   st.integers(underflow, underflow + 10**6)))
+    return hp
+
+
+def _assert_steps_match_reference(m, data, max_radius):
+    # below sigma^2 = 1 only the winner moves; train_step updates that row
+    # alone and must give the reference's bits, tallies and epoch
+    hp = _draw_schedule(m, data, max_radius)
     unit = st.floats(0.0, 1.0)
     for _ in range(data.draw(st.integers(1, 5))):
         v = np.array(data.draw(st.lists(unit, min_size=m.dim, max_size=m.dim)))
@@ -583,8 +593,149 @@ def test_train_step_rejects_wrong_shape_at_every_radius(epoch):
     before = m.weights.copy()
     for bad in ([0.5, 0.5], [[0.5, 0.5, 0.5]], [0.5] * 4):
         with pytest.raises(ValueError, match="shape"):
-            m.train_step(bad, SomHyperParams(), winner=0)
+            m.train_step(bad, SomHyperParams())
     assert m.weights.tobytes() == before.tobytes() and m.epoch == epoch
+
+
+def _state(m) -> list[bytes]:
+    return [a.tobytes() for a in (m.weights, m.hit_counts, m.benign_wins,
+                                  m.malicious_wins)] + [bytes(str(m.epoch), "ascii")]
+
+
+@settings(deadline=None, max_examples=150)
+@given(trained_maps(), st.data())
+def test_train_online_matches_single_row_reference_steps(m, data):
+    # one batch call trains its rows in order: each row's winner, weights,
+    # tallies and epoch as R reference steps give them, for labeled,
+    # unlabeled and self-labeled batches, the batch crossing sigma^2 = 1 or
+    # starting past its underflow; rows outside [0,1] exercise the clamps
+    hp = _draw_schedule(m, data, max_radius=8.0)
+    rows = data.draw(st.integers(0, 12))
+    x = np.array(data.draw(st.lists(
+        st.lists(st.floats(-0.5, 1.5), min_size=m.dim, max_size=m.dim),
+        min_size=rows, max_size=rows)), dtype=np.float64).reshape(rows, m.dim)
+    kind = data.draw(st.sampled_from(["labeled", "unlabeled", "self"]))
+    labels = (data.draw(st.lists(st.sampled_from([None, BENIGN, MALICIOUS]),
+                                 min_size=rows, max_size=rows))
+              if kind == "labeled" else None)
+    ref = m.copy()
+    wins = []
+    for i, v in enumerate(x):
+        win = ref.find_winner(v)
+        label = {"labeled": labels and labels[i], "unlabeled": None,
+                 "self": {BENIGN: BENIGN, MALICIOUS: MALICIOUS}.get(str(ref.labels[win]))}[kind]
+        ref.weights[:] = _train_step_clipping_every_row(ref, v, hp, label, win)
+        ref.hit_counts[win] += 1
+        if label is not None:
+            (ref.benign_wins if label == BENIGN else ref.malicious_wins)[win] += 1
+        ref.epoch += 1
+        wins.append(win)
+    assert m.train_online(x, hp, labels, self_labeled=(kind == "self")) == wins
+    assert _state(m) == _state(ref)
+
+
+def test_maps_hold_no_negative_zero_weight():
+    # numpy versions differ on the sign of clip(-0.0, 0, 1); with no -0.0
+    # weight no step makes one, here with alpha underflowed to 0 and a
+    # negative sample, which would keep a -0.0 weight at -0.0
+    hp = SomHyperParams(lr_decay_constant=100.0, radius_decay_constant=100.0)
+    m = SomMap(1, 1, 2, np.array([[-0.0, 0.5]]), epoch=10**6)
+    assert hp.learning_rate(m.epoch) == 0.0
+    assert not np.signbit(m.weights).any()
+    expected = _train_step_clipping_every_row(m, np.array([-0.5, 0.5]), hp, None, 0)
+    m.train_online([[-0.5, 0.5]], hp)
+    assert m.weights.tobytes() == expected.tobytes()
+    assert not np.signbit(m.weights).any()
+
+
+@pytest.mark.parametrize("epoch", [0, 10**5])
+@pytest.mark.parametrize("bad", ["ragged", "columns", "nan", "inf", "label", "count"])
+def test_bad_last_row_rejects_the_batch_before_any_step(bad, epoch):
+    rng = np.random.default_rng(5)
+    hp = SomHyperParams()
+    for entry in ("train", "train_online"):
+        m = init_map(4, 4, 3, seed=0)
+        m.epoch = epoch
+        x = rng.uniform(0.0, 1.0, size=(6, 3))
+        labels = [BENIGN, MALICIOUS, None, BENIGN, MALICIOUS, BENIGN]
+        if bad == "ragged":
+            x = [list(r) for r in x[:-1]] + [[0.5, 0.5]]
+        elif bad == "columns":
+            x = np.hstack([x, np.full((6, 1), 0.5)])
+        elif bad == "nan":
+            x[-1, 1] = math.nan
+        elif bad == "inf":
+            x[-1, 2] = math.inf
+        elif bad == "label":
+            labels[-1] = "weird"
+        else:
+            labels = labels[:-1]
+        before = _state(m)
+        with pytest.raises(ValueError):
+            if entry == "train":
+                m.train(x, labels, hp)
+            else:
+                m.train_online(x, hp, labels)
+        assert _state(m) == before
+    with pytest.raises(ValueError, match="self_labeled"):
+        m.train_online(np.zeros((1, 3)), hp, [BENIGN], self_labeled=True)
+    assert _state(m) == before
+
+
+def _ingest_one_flow_at_a_time(a, flows, vectors, now):
+    """`Agent.ingest` as a per-flow loop: each flow's winner search, its
+    verdict, then one `train_step` labeled by the map's own verdict."""
+    som, cfg = a.som, a.config
+    a.flows_processed += len(flows)
+    verdicts, work, malicious_in_window = [], 0, 0
+    labeled = som.is_labeled
+    for flow, vec in zip(flows, vectors):
+        win = som.find_winner(vec)
+        predicted = str(som.labels[win]) if labeled else None
+        if a.mode == PROTECTION and labeled:
+            work += 1
+            if predicted == MALICIOUS:
+                a.last_malicious_seen = now
+            verdicts.append(a._decide(flow, now, predicted))
+        else:
+            verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN))
+            a.flows_forwarded += 1
+        assert som.train_step(vec, cfg.hyperparams, label=predicted) == win
+        work += 1
+        if a.mode == NORMAL and predicted == MALICIOUS:
+            malicious_in_window += 1
+            if malicious_in_window >= cfg.local_trigger_count:
+                a.last_malicious_seen = now
+                a._enter_protection(now, "local_trigger")
+    a.work_units += work
+    return verdicts, work
+
+
+@settings(deadline=None, max_examples=100)
+@given(trained_maps(), st.data())
+def test_ingest_matches_per_flow_reference_loop(m, data):
+    hp = _draw_schedule(m, data, max_radius=8.0)
+    cfg = AgentConfig(local_trigger_count=data.draw(st.integers(1, 4)),
+                      quiet_period=data.draw(st.sampled_from([0.0, 30.0])),
+                      hyperparams=hp)
+    always_on = data.draw(st.booleans())
+    agents = [Agent("a1", som, cfg, filter_always_on=always_on)
+              for som in (m, m.copy())]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for w in range(data.draw(st.integers(1, 4))):
+        now = 5.0 * (w + 1)
+        flows = [FlowRecord(f"f{w}-{i}", 1, 2, "TCP", 80, 1, 60.0, now - 1.0, now - 1.0)
+                 for i in range(data.draw(st.integers(0, 12)))]
+        vectors = rng.uniform(-0.1, 1.1, size=(len(flows), m.dim))
+        for a in agents:
+            a.tick(now)
+        got = agents[0].ingest(flows, vectors, now)
+        assert got == _ingest_one_flow_at_a_time(agents[1], flows, vectors, now)
+        got_agent, ref_agent = agents
+        for attr in ("mode", "last_malicious_seen", "flows_processed",
+                     "flows_forwarded", "flows_dropped", "work_units", "log"):
+            assert getattr(got_agent, attr) == getattr(ref_agent, attr)
+        assert _state(got_agent.som) == _state(ref_agent.som)
 
 
 def _rowmajor_einsum_winner(weights, v):
