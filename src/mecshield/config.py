@@ -53,10 +53,6 @@ class AttackSpec:
     scale_with_level: bool = True # level multiplies the bot request/session rate
     src_offset: int = 1000        # where host_addrs puts the bots in the agent's range
 
-    def __post_init__(self):
-        # logged and echoed as a float, also when written as an integer
-        self.start_time = float(self.start_time)
-
 
 def host_addrs(addr_lo: int, count: int, src_offset: int = 0, k: int = 0) -> range:
     """The address plan of a network whose range starts at `addr_lo`: its
@@ -278,8 +274,9 @@ def _read(data, entries: list, hints: dict, where: str, kwargs: dict) -> None:
 
 
 def _value(value, tp, where: str, **given):
-    """`value` checked against the declared type `tp`; an integer passes as a
-    float and is kept as written."""
+    """`value` checked against the declared type `tp`.  An integer passes as
+    a float and is read as one, so a float field is logged and echoed alike
+    however it is written."""
     if type(None) in typing.get_args(tp):      # X | None
         if value is None:
             return None
@@ -297,6 +294,11 @@ def _value(value, tp, where: str, **given):
         raise ConfigError(f"{where}: must be one of {choices}, got {value!r}")
     elif isinstance(value, (int, float) if tp is float else tp) and \
             (tp is bool or not isinstance(value, bool)):
+        if tp is float:
+            try:
+                return float(value)
+            except OverflowError:
+                raise ConfigError(f"{where}: integer too large for a float") from None
         return value
     raise ConfigError(f"{where}: must be {tp.__name__}, got {value!r}")
 
@@ -332,7 +334,6 @@ def parse_config(doc: dict, path: str = "<config>") -> RunConfig:
         raise ConfigError(f"{path}: field 'version' must be {CONFIG_VERSION}, got {version!r}")
     try:
         rc = _build(RunConfig, doc, "")
-        rc.attack_levels = [float(x) for x in rc.attack_levels]
         for name in ("schemes", "attack_levels"):
             values = getattr(rc, name)
             if not values or len(set(values)) < len(values):

@@ -175,6 +175,33 @@ def test_flow_cap_rejects_huge_levels():
     assert "attack_levels" in str(e.value)
 
 
+def test_integer_too_large_for_a_float_is_a_config_error():
+    doc = reference_config_dict()
+    doc["scenario"]["window_length"] = 10**400
+    with pytest.raises(ConfigError, match=re.escape(
+            "scenario.window_length: integer too large for a float")):
+        parse_config(doc)
+    doc = reference_config_dict()
+    doc["attack_levels"] = [100, -10**400]
+    with pytest.raises(ConfigError, match=re.escape("attack_levels[1]: integer too large")):
+        parse_config(doc)
+
+
+def test_integer_and_float_spellings_give_one_digest():
+    # a float field written as an integer used to be kept as one, so the
+    # log read "t": 20 where the float spelling reads "t": 20.0
+    from mecshield.harness import event_log_digest, run
+    digests = set()
+    for spelling in (5, 5.0):
+        doc = reference_config_dict(seed=1)
+        doc["scenario"].update(window_length=spelling, duration=30,
+                               pretrain_samples=600)
+        rc = parse_config(doc)
+        assert type(rc.scenario.window_length) is type(rc.scenario.duration) is float
+        digests.add(event_log_digest(run(rc.scenario_for("mecshield", 300.0))[1]))
+    assert len(digests) == 1
+
+
 @pytest.mark.parametrize("agent, name, value, match", [
     (2, "event_rate", 1.0e300, "MAX_FLOWS"),        # used to hang gen_benign
     (0, "period", 1.0e-300, "MAX_FLOWS"),

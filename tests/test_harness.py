@@ -9,12 +9,14 @@ import sys
 import tracemalloc
 import zlib
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mecshield import harness
-from mecshield.config import SCHEMES, reference_config
+from mecshield.config import SCHEMES, parse_config, reference_config, reference_config_dict
 from mecshield.controller import Controller
 from mecshield.errors import ConfigError
 from mecshield.features import extract_one, window_stats
@@ -351,6 +353,58 @@ def test_event_log_digest_hashes_json_dumps_lines():
     for e in events:
         h.update((json.dumps(e, sort_keys=True) + "\n").encode())
     assert event_log_digest(events) == h.hexdigest()
+
+
+# any text: non-ASCII, quotes, backslashes, control characters, lone surrogates
+_ANY_TEXT = st.text(st.characters(codec=None, exclude_categories=()))
+_ANY_T = st.floats(allow_nan=False, allow_infinity=False) | st.integers() | \
+    st.integers(-2**62, 2**62).map(float)
+
+
+def _classify_event(agent, flow_id, t, predicted, decision="drop",
+                    reason="som_malicious", truth="malicious"):
+    return {"kind": "classify", "t": t, "agent": agent, "flow_id": flow_id,
+            "decision": decision, "reason": reason, "predicted": predicted,
+            "truth": truth}
+
+
+@settings(max_examples=300)
+@given(_ANY_TEXT, _ANY_TEXT, _ANY_T, st.none() | _ANY_TEXT, _ANY_TEXT)
+def test_line_of_a_classify_event_is_its_json_dumps(agent, flow_id, t, predicted, reason):
+    e = _classify_event(agent, flow_id, t, predicted, reason=reason)
+    # the template, not the encoder, builds it
+    with mock.patch.object(harness, "_canonical", side_effect=AssertionError):
+        line = harness._line(e)
+    assert line == json.dumps(e, sort_keys=True)
+
+
+@pytest.mark.parametrize("change", [
+    {"extra": 1}, {"t": True}, {"t": np.float64(20.5)},
+    {"t": float("inf")}, {"t": float("nan")}, {"agent": 7}, {"predicted": 1.5},
+    {"kind": "mode", "mode": "normal", "why": "quiet_period"},
+])
+def test_line_falls_back_to_the_encoder(change):
+    e = {**_classify_event("sensor-net", "f-1", 20.0, "benign"), **change}
+    assert harness._line(e) == json.dumps(e, sort_keys=True)
+    e.pop("truth")
+    assert harness._line(e) == json.dumps(e, sort_keys=True)
+
+
+def test_lines_of_a_run_with_a_quoted_non_ascii_agent_id():
+    doc = reference_config_dict(seed=3)
+    old, new = "sensor-net", 'sénsor "net"\\'
+    for a in doc["scenario"]["agents"]:
+        a["id"] = new if a["id"] == old else a["id"]
+    for atk in doc["scenario"]["attacks"]:
+        atk["agent"] = new if atk["agent"] == old else atk["agent"]
+    doc["scenario"].update(duration=30.0, pretrain_samples=300)
+    cache = {}
+    _, events = run(parse_config(doc).scenario_for("mecshield", 300.0), cache=cache)
+    lines = cache[harness._LINES]
+    assert lines == [json.dumps(e, sort_keys=True) for e in events]
+    assert sum(e["kind"] == "classify" and e["agent"] == new for e in events) > 0
+    assert {e["kind"] for e in events} >= {"run_info", "classify", "filters",
+                                           "agent_summary", "controller_summary"}
 
 
 def test_run_matrix_drops_each_level_after_its_last_scheme(monkeypatch):
