@@ -27,8 +27,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# bytes `_sha256` reads at a time, so a large events.jsonl is never held whole
+HASH_BLOCK = 1 << 20
+
+
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(HASH_BLOCK):
+            h.update(block)
+    return h.hexdigest()
 
 
 def _load_or_default_config(args) -> RunConfig:

@@ -37,6 +37,7 @@ from .config import (SCHEME_CENTRALIZED, SCHEME_DISTRIBUTED, SCHEME_MECSHIELD,
 from .controller import Controller
 from .errors import ConfigError
 from .features import FeatureMode, MODE_DIM, NormalizationSpec, extract, window_stats
+from . import som
 from .som import BENIGN, MALICIOUS, SomMap, init_map, merge_maps
 from .traffic import FlowRecord, LABEL_MALICIOUS, gen_attack, gen_benign
 
@@ -243,14 +244,23 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None
 MAP_SEED = 0x78906596
 
 
+def train_maps(cfg: ScenarioConfig, sample_sets) -> list[SomMap]:
+    """Labeled maps, one per (vectors, labels) set, trained in one lockstep
+    pass (`som.train_maps`): every map starts from one codebook, at epoch
+    0, on cfg's schedule."""
+    maps = [init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode],
+                     seed=MAP_SEED) for _ in sample_sets]
+    som.train_maps(maps, [v for v, _ in sample_sets], cfg.hyperparams,
+                   [labels for _, labels in sample_sets])
+    for m in maps:
+        m.label_neurons()
+    return maps
+
+
 def train_map(cfg: ScenarioConfig, vectors, labels) -> SomMap:
     """A labeled map trained on the samples, as every run and `mecshield
     train` train it."""
-    m = init_map(cfg.som_width, cfg.som_height, MODE_DIM[cfg.feature_mode],
-                 seed=MAP_SEED)
-    m.train(vectors, labels, cfg.hyperparams)
-    m.label_neurons()
-    return m
+    return train_maps(cfg, [(vectors, labels)])[0]
 
 
 def _level_key(cfg: ScenarioConfig) -> tuple:
@@ -263,31 +273,49 @@ def _shared(cfg: ScenarioConfig, cache: dict | None) -> dict:
     return {} if cache is None else cache.setdefault(_level_key(cfg), {})
 
 
-def _filters(cfg: ScenarioConfig, cache: dict | None):
-    """The cell's filters: (controller map or None, one map per agent).
+def pooled_samples(cfg: ScenarioConfig, training):
+    """Every agent's pretraining samples, pooled and shuffled, for the
+    centralized scheme's controller map."""
+    vecs = [v for t in training for v in t[0]]
+    labs = [l for t in training for l in t[1]]
+    order = np.random.default_rng(derive_seed(cfg.seed, "pool")).permutation(len(vecs))
+    return [vecs[i] for i in order], [labs[i] for i in order]
 
-    mecshield and distributed train one local map per agent (distributed then
-    merges them); centralized pools every agent's samples into one map at the
-    controller, and its agents, which only observe, get none.  Pretraining
-    reads only the seed and the level of what `for_cell` varies, so it is
-    kept in `cache` under that key.  Every cell gets copies, because agents
-    and the controller keep training their maps online.  The agents' benign
-    samples, the same at every level, sit in `cache` too (see
-    `build_training_set`)."""
-    entry = _shared(cfg, cache)
-    if "training" not in entry:
-        entry["training"] = [build_training_set(cfg, a, cache=cache) for a in cfg.agents]
-    training = entry["training"]
+
+def pretrain(cells, cache: dict | None) -> None:
+    """Train, in one lockstep pass, the maps that the cells, given as (cfg,
+    its `_shared` entry) pairs of one base config, need and their entries
+    lack: mecshield and distributed start from one local map per agent
+    (distributed merges them), centralized from one map at the controller
+    trained on every agent's samples.  Pretraining reads only the seed and
+    the level of what `for_cell` varies, so it is kept in the entry.  The
+    agents' benign samples, the same at every level, sit in `cache` too
+    (see `build_training_set`)."""
+    jobs = {}                   # (id of entry, maps key) -> (entry, sample sets)
+    for cfg, entry in cells:
+        key = "central" if cfg.scheme == SCHEME_CENTRALIZED else "local"
+        if key in entry or (id(entry), key) in jobs:
+            continue
+        if "training" not in entry:
+            entry["training"] = [build_training_set(cfg, a, cache=cache) for a in cfg.agents]
+        training = entry["training"]
+        jobs[id(entry), key] = entry, (
+            [pooled_samples(cfg, training)] if key == "central" else training)
+    if not jobs:
+        return
+    maps = iter(train_maps(cells[0][0], [s for _, sets in jobs.values() for s in sets]))
+    for (_, key), (entry, sets) in jobs.items():
+        trained = [next(maps) for _ in sets]
+        entry[key] = trained[0] if key == "central" else trained
+
+
+def _filters(cfg: ScenarioConfig, entry: dict):
+    """The cell's filters from its entry's pretrained maps (see `pretrain`):
+    (controller map or None, one map per agent).  Centralized agents, which
+    only observe, get none.  Every cell gets copies, because agents and the
+    controller keep training their maps online."""
     if cfg.scheme == SCHEME_CENTRALIZED:
-        if "central" not in entry:
-            vecs = [v for t in training for v in t[0]]
-            labs = [l for t in training for l in t[1]]
-            order = np.random.default_rng(derive_seed(cfg.seed, "pool")).permutation(len(vecs))
-            entry["central"] = train_map(cfg, [vecs[i] for i in order],
-                                         [labs[i] for i in order])
         return entry["central"].copy(), [None] * len(cfg.agents)
-    if "local" not in entry:
-        entry["local"] = [train_map(cfg, *t) for t in training]
     if cfg.scheme == SCHEME_DISTRIBUTED:
         merged = merge_maps(entry["local"])
         return None, [merged.copy() for _ in entry["local"]]
@@ -331,7 +359,8 @@ def run(cfg: ScenarioConfig,
     for agent_id, t in traffic.first_malicious_arrival.items():
         events.append({"kind": "first_malicious_arrival", "t": t, "agent": agent_id})
 
-    central_map, maps = _filters(cfg, cache)
+    pretrain([(cfg, entry)], cache)
+    central_map, maps = _filters(cfg, entry)
     # only mecshield arms filters on demand; the others count as always on
     agents = {a.agent_id: Agent(a.agent_id, m, cfg, log=events,
                                 filter_always_on=(cfg.scheme != SCHEME_MECSHIELD))
@@ -563,7 +592,8 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
                attack_levels: list[float], out=None):
     """Cross product of (scheme, level) runs; every scheme faces identical
     flows, and the traffic, its features and the pretraining are built once
-    per level.
+    per level.  Before the first cell, every cell is checked and every map
+    the cells start from is pretrained, in one lockstep pass (`pretrain`).
 
     Each cell's digest hashes the canonical lines `run` built for its sort.
     With an open text stream `out`, those lines are written to it as each
@@ -578,17 +608,20 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
     rows = []
     logs = {}
     cache: dict = {}
-    for i, scheme in enumerate(schemes):
-        for level in attack_levels:
-            cell = base_cfg.for_cell(scheme, level)
-            metrics, events = run(cell, cache=cache)
-            lines = cache.pop(_LINES)
-            if i == len(schemes) - 1:
-                cache.pop(_level_key(cell))
-            if out is not None:
-                for line in lines:
-                    out.write(line + "\n")
-            rows.append(metrics_row(metrics, _lines_digest(lines)))
-            logs[(scheme, float(level))] = events
-            del lines
+    cells = [base_cfg.for_cell(scheme, level) for scheme in schemes for level in attack_levels]
+    for cell in cells:
+        cell.validate()
+    pretrain([(cell, _shared(cell, cache)) for cell in cells], cache)
+    last_scheme = len(cells) - len(attack_levels)
+    for n, cell in enumerate(cells):
+        metrics, events = run(cell, cache=cache)
+        lines = cache.pop(_LINES)
+        if n >= last_scheme:
+            cache.pop(_level_key(cell))
+        if out is not None:
+            for line in lines:
+                out.write(line + "\n")
+        rows.append(metrics_row(metrics, _lines_digest(lines)))
+        logs[(cell.scheme, cell.attack_level)] = events
+        del lines
     return rows, logs

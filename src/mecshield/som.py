@@ -7,6 +7,7 @@ convex means, and every update is a convex move toward a normalized sample.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -43,42 +44,32 @@ def _sq_dists(vectors: np.ndarray, points_t: np.ndarray) -> np.ndarray:
     return d.sum(axis=-2)
 
 
-class _Neighbours:
-    """Every neuron ordered by squared lattice distance from each winner,
-    for one lattice shape, shared by every map of that shape.
-
-    Row j of `order` lists the neurons by distance from neuron j (ties in
-    index order), and row j of `d2` holds those sorted distances: whole
-    numbers, held exactly in float64.  A row is filled the first time its
-    neuron wins; a 20x20 lattice's full tables take 1.25 MiB (`d2`) plus
-    320 KiB (`order`, uint16)."""
-
-    def __init__(self, width: int, height: int):
-        n = width * height
-        self.width = width
-        self.order = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-        self.d2 = np.empty((n, n), dtype=np.float64)
-        self._built = bytearray(n)
-
-    def within(self, win: int, s2: float) -> tuple[np.ndarray, np.ndarray]:
-        """The neurons within squared lattice distance s2 of neuron win,
-        nearest first, and their squared distances."""
-        if not self._built[win]:
-            rows, cols = np.divmod(np.arange(len(self._built)), self.width)
-            r, c = divmod(win, self.width)
-            d2 = (rows - r) ** 2 + (cols - c) ** 2
-            order = np.argsort(d2, kind="stable")
-            self.order[win] = order
-            self.d2[win] = d2[order]
-            self._built[win] = 1
-        d2 = self.d2[win]
-        k = d2.searchsorted(s2, "right")
-        return self.order[win, :k], d2[:k]
+# steps whose neighbourhood coefficients one table holds: with the 180
+# distinct squared distances of a 20x20 lattice, 360 KiB
+TABLE_STEPS = 256
 
 
 @functools.cache
-def _neighbours(width: int, height: int) -> _Neighbours:
-    return _Neighbours(width, height)
+def _lattice(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squared lattice distances of one lattice shape, shared by every
+    map of that shape: their distinct values `d2`, ascending (whole numbers,
+    held exactly in float64), and the n x n table `rank`, whose entry
+    [i, j] is the index in `d2` of neurons i and j's squared distance (the
+    smallest unsigned type that holds it: 160 KiB on a 20x20 lattice)."""
+    # the index of each lattice offset's squared distance, by |row| and
+    # |column| difference
+    r, c = np.ogrid[:height, :width]
+    values, by_offset = np.unique(r * r + c * c, return_inverse=True)
+    by_offset = by_offset.reshape(height, width).astype(np.min_scalar_type(len(values) - 1))
+    # neuron (r1, c1) against neuron (r2, c2) at [r1, c1, r2, c2], without an
+    # n x n temporary
+    row_off, col_off = abs(r - r.T), abs(c - c.T)
+    rank = by_offset[row_off[:, None, :, None], col_off[None, :, None, :]]
+    rank = rank.reshape(width * height, width * height)
+    rank.flags.writeable = False
+    values = values.astype(np.float64)
+    values.flags.writeable = False
+    return values, rank
 
 
 @dataclass
@@ -175,20 +166,11 @@ class SomMap:
 
     def train_online(self, vectors, hp: SomHyperParams, labels=None, *,
                      self_labeled: bool = False) -> list[int]:
-        """The one training loop, entered here by the agents and the
-        controller map as they learn from the traffic they filter: one step
-        per row, in order, each pulling the row's winner and the neurons
-        within the current lattice radius of it toward the row by a Gaussian
-        neighborhood weight.  Returns each row's winner.
+        """`train_maps` of this map alone, as the agents and the controller
+        map learn from the traffic they filter; returns each row's winner."""
+        return train_maps([self], [vectors], hp, [labels], self_labeled=self_labeled)[0]
 
-        `labels` holds one benign/malicious/None label per row (None: all
-        unlabeled); with `self_labeled`, each row takes its winner's neuron
-        label (an unlabeled neuron tallies no vote), fixed for the batch
-        since training never relabels.  The batch and labels are checked
-        before any weight moves; the tallies are counted after the loop,
-        which never reads them."""
-        if self_labeled and labels is not None:
-            raise ValueError("self_labeled takes no labels")
+    def _check_batch(self, vectors, labels) -> tuple[np.ndarray, list | None]:
         x = np.asarray(vectors, dtype=np.float64)
         if x.ndim == 1 and x.size == 0:
             x = x.reshape(0, self.dim)
@@ -203,44 +185,9 @@ class SomMap:
             unknown = [lab for lab in labels if lab not in (BENIGN, MALICIOUS, None)]
             if unknown:
                 raise ValueError(f"unknown sample label {unknown[0]!r}")
-        if not len(x):
-            return []
-        wt = self._wt
-        # one memoryview per weight dimension: the winner-only step reads and
-        # writes the winner's column as Python floats
-        dims = [memoryview(row) for row in wt]
-        near_of = _neighbours(self.width, self.height).within
-        a0, lr_decay = hp.initial_learning_rate, hp.lr_decay_constant
-        r0, radius_decay = hp.initial_radius, hp.radius_decay_constant
-        exp = math.exp
-        epoch = self.epoch
-        wins = []
-        for v, y in zip(x, x.tolist()):
-            win = int(_sq_dists(v, wt).argmin())
-            alpha = a0 * exp(-epoch / lr_decay)
-            sigma = r0 * exp(-epoch / radius_decay)
-            # convex moves; the clamps to [0,1] only guard against ulp-level
-            # overshoot, and the neurons that do not move already lie there
-            s2 = sigma * sigma
-            if s2 < 1.0:
-                # lattice distances are whole numbers, so the neighborhood is
-                # the winner alone, at weight exp(-0) = 1 (also once sigma^2
-                # underflows to 0, where exp(-0/0) would be NaN).  IEEE
-                # sub/mul/add and a clamp on Python floats: the mask path's bits
-                for col, yd in zip(dims, y):
-                    c = col[win]
-                    c += alpha * (yd - c)
-                    col[win] = 0.0 if c < 0.0 else 1.0 if c > 1.0 else c
-            else:
-                near, d2 = near_of(win, s2)
-                h = np.exp(-d2 / (2.0 * sigma * sigma))
-                moved = wt.take(near, axis=1)   # wt[:, near], without its per-neuron loop
-                moved += (alpha * h) * (v[:, None] - moved)
-                moved.clip(0.0, 1.0, out=moved)
-                wt[:, near] = moved
-            wins.append(win)
-            epoch += 1
-        self.epoch = epoch
+        return x, labels
+
+    def _tally(self, wins: list[int], labels, self_labeled: bool) -> None:
         n = self.neuron_count
         counts = np.bincount(wins, minlength=n)
         self.hit_counts += counts
@@ -252,7 +199,6 @@ class SomMap:
                                  (self.malicious_wins, MALICIOUS)):
                 tally += np.bincount([w for w, lab in zip(wins, labels) if lab == which],
                                      minlength=n)
-        return wins
 
     # -- labeling / classification ----------------------------------------
 
@@ -381,6 +327,137 @@ def init_map(width: int, height: int, dim: int, seed: int) -> SomMap:
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.0, 1.0, size=(width * height, dim))
     return SomMap(width, height, dim, weights)
+
+
+def train_maps(maps: list[SomMap], batches, hp: SomHyperParams, labels=None, *,
+               self_labeled: bool = False) -> list[list[int]]:
+    """The one training loop: train each map on its batch, one step per row
+    in order, and return each map's winners.  A step pulls the row's winner
+    and the neurons within the current lattice radius of it toward the row
+    by a Gaussian neighborhood weight.
+
+    The maps share one lattice shape, dimension and epoch, so step t has
+    one learning rate and radius for all of them, and they step in
+    lockstep: one winner search and one update per step serve every map
+    whose batch has a row t, and a map leaves the stack when its rows end.
+    A map gets the bits that training it alone gives.
+
+    `labels` holds, per map, one benign/malicious/None label per row, or
+    None (all unlabeled); with `self_labeled`, each row takes its winner's
+    neuron label (an unlabeled neuron tallies no vote), fixed for the batch
+    since training never relabels.  Every batch and its labels are checked
+    before any weight moves; the tallies are counted after the loop, which
+    never reads them."""
+    if not maps or len(batches) != len(maps):
+        raise ValueError(f"{len(maps)} maps need as many batches, got {len(batches)}")
+    if labels is None:
+        labels = [None] * len(maps)
+    elif len(labels) != len(maps):
+        raise ValueError(f"{len(maps)} maps need as many label lists, got {len(labels)}")
+    if self_labeled and any(lab is not None for lab in labels):
+        raise ValueError("self_labeled takes no labels")
+    first = maps[0]
+    shape = (first.width, first.height, first.dim, first.epoch)
+    for m in maps:
+        if (m.width, m.height, m.dim, m.epoch) != shape:
+            raise ValueError(f"maps trained together share shape and epoch: "
+                             f"{m.width}x{m.height}/{m.dim} at epoch {m.epoch} vs "
+                             f"{first.width}x{first.height}/{first.dim} at epoch {first.epoch}")
+    if len({id(m) for m in maps}) != len(maps):
+        raise ValueError("a map appears twice")
+    checked = [m._check_batch(x, lab) for m, x, lab in zip(maps, batches, labels)]
+
+    # the stack holds the maps longest batch first, so the maps still
+    # training at step t are its first few; x[t] holds their rows t
+    order = sorted(range(len(maps)), key=lambda i: -len(checked[i][0]))
+    lengths = [len(checked[i][0]) for i in order]
+    x = np.zeros((lengths[0], len(maps), first.dim))
+    for pos, i in enumerate(order):
+        x[:lengths[pos], pos] = checked[i][0]
+    wt = np.stack([maps[i]._wt for i in order])         # (M, dim, n)
+    wins = np.empty((lengths[0], len(maps)), dtype=np.intp)
+
+    width, height = first.width, first.height
+    d2, rank = _lattice(width, height)
+    # one memoryview per map and weight dimension: the winner-only step reads
+    # and writes the winner's column as Python floats
+    dims = [[memoryview(row) for row in w] for w in wt]
+    a0, lr_decay = hp.initial_learning_rate, hp.lr_decay_constant
+    r0, radius_decay = hp.initial_radius, hp.radius_decay_constant
+    exp = math.exp
+    # chunks of at most TABLE_STEPS steps, in which no map leaves the stack
+    ends = sorted({*lengths, *range(TABLE_STEPS, lengths[0], TABLE_STEPS)} - {0})
+    for lo, hi in zip([0, *ends], ends):
+        k = sum(n_rows >= hi for n_rows in lengths)
+        xs = x[lo:hi, :k]
+        # a lone map steps on its (dim, n) codebook and 1-D rows, whose
+        # smaller arrays numpy handles faster
+        single = k == 1
+        w, vs = (wt[0], xs[:, 0]) if single else (wt[:k], xs)
+        epochs = range(first.epoch + lo, first.epoch + hi)
+        alphas = [a0 * exp(-e / lr_decay) for e in epochs]
+        sigmas = [r0 * exp(-e / radius_decay) for e in epochs]
+        # lattice distances are whole numbers, so below sigma^2 = 1 the
+        # neighborhood is the winner alone, at weight exp(-0) = 1 (also once
+        # sigma^2 underflows to 0, where exp(-0/0) would be NaN)
+        wide = [t for t, sigma in enumerate(sigmas) if sigma * sigma >= 1.0]
+        # per step: None for a winner-only step, else its coefficients by
+        # distinct d2 and the lattice rows its radius reaches either side
+        updates = [None] * (hi - lo)
+        if wide:
+            # alpha * exp(-d2 / (2 sigma^2)) per wide step and distinct d2:
+            # the learning rate times the Gaussian neighborhood weight,
+            # exactly 0 beyond the radius, so only the distances within the
+            # chunk's widest radius are computed
+            sigma = np.array([sigmas[t] for t in wide])
+            s2 = sigma * sigma
+            near = d2[:d2.searchsorted(s2.max(), "right")]
+            coef = np.zeros((len(wide), len(d2)))
+            within = coef[:, :len(near)]
+            np.multiply(np.exp(-near / (2.0 * sigma * sigma)[:, None]),
+                        np.array([alphas[t] for t in wide])[:, None], out=within)
+            within[near > s2[:, None]] = 0.0
+            for t, c in zip(wide, coef):
+                updates[t] = c, math.isqrt(int(min(sigmas[t] * sigmas[t], height * height)))
+        ys = xs.tolist() if len(wide) < len(updates) else itertools.repeat(None)
+        won = []
+        for v, y, update, alpha in zip(vs, ys, updates, alphas):
+            win = _sq_dists(v, w).argmin(-1)
+            js = [int(win)] if single else win.tolist()
+            won += js
+            if update is None:
+                # IEEE sub/mul/add and a clamp on Python floats: the bits of
+                # the update below at weight 1
+                for cols, yv, j in zip(dims, y, js):
+                    for col, yd in zip(cols, yv):
+                        wj = col[j]
+                        wj += alpha * (yd - wj)
+                        col[j] = 0.0 if wj < 0.0 else 1.0 if wj > 1.0 else wj
+            else:
+                # convex moves, w + (alpha*h)*(v - w) within the radius and
+                # w + 0*(v - w) == w beyond it (v - w is finite and no weight
+                # is -0.0), over the lattice rows the radius reaches from
+                # any winner; the clamps to [0,1] only guard against
+                # ulp-level overshoot, and the weights that do not move
+                # already lie there
+                c, reach = update
+                c0 = max(0, min(js) // width - reach) * width
+                c1 = min(height, max(js) // width + reach + 1) * width
+                band = w[..., c0:c1]
+                move = v[..., None] - band
+                move *= c.take(rank[win, c0:c1])[..., None, :]
+                band += move
+                band.clip(0.0, 1.0, out=band)
+        wins[lo:hi, :k] = np.reshape(won, (hi - lo, k))
+
+    out = [None] * len(maps)
+    for pos, i in enumerate(order):
+        maps[i]._wt[...] = wt[pos]
+        out[i] = wins[:lengths[pos], pos].tolist()
+    for m, mine, (_, labs) in zip(maps, out, checked):
+        m.epoch += len(mine)
+        m._tally(mine, labs, self_labeled)
+    return out
 
 
 def merge_maps(maps: list[SomMap]) -> SomMap:

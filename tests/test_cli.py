@@ -1,5 +1,6 @@
 """CLI tests: command wiring, outputs, exit codes, digest stability."""
 import csv
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,15 @@ def test_run_digest_stable_across_reruns(tmp_path):
         outs.append(json.loads((out / "summary.json").read_text())["digests"])
     assert outs[0]["metrics_csv"] == outs[1]["metrics_csv"]
     assert outs[0]["events_jsonl"] == outs[1]["events_jsonl"]
+
+
+def test_file_digest_reads_in_blocks(tmp_path):
+    # events.jsonl is hashed a block at a time; a file of two and a half
+    # blocks, with the last block partly filled, hashes as a whole read does
+    path = tmp_path / "big.bin"
+    path.write_bytes(bytes(range(256)) * (cli.HASH_BLOCK * 5 // 512) + b"tail")
+    assert path.stat().st_size > 2 * cli.HASH_BLOCK
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_run_seed_override_changes_results(tmp_path):

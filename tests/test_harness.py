@@ -408,6 +408,9 @@ def test_lines_of_a_run_with_a_quoted_non_ascii_agent_id():
 
 
 def test_run_matrix_drops_each_level_after_its_last_scheme(monkeypatch):
+    # every level's maps are pretrained before the first cell, a level's
+    # traffic is presented at its first cell, and a level is dropped after
+    # its last scheme's cell
     cfg = tiny_cfg()
     levels = [50.0, 100.0]
     seen = []
@@ -415,18 +418,69 @@ def test_run_matrix_drops_each_level_after_its_last_scheme(monkeypatch):
 
     def recording(c, cache=None):
         seen.append(((c.scheme, c.attack_level),
-                     sorted(k for k in cache if isinstance(k[1], float))))
+                     {k: set(v) for k, v in cache.items() if isinstance(k[1], float)}))
         return real_run(c, cache=cache)
 
     monkeypatch.setattr(harness, "run", recording)
     rows, _ = run_matrix(cfg, ["mecshield", "centralized"], levels)
     s = cfg.seed
-    assert seen == [(("mecshield", 50.0), []),
-                    (("mecshield", 100.0), [(s, 50.0)]),
-                    (("centralized", 50.0), [(s, 50.0), (s, 100.0)]),
-                    (("centralized", 100.0), [(s, 100.0)])]
+    maps = {"training", "local", "central"}
+    presented = maps | {"traffic"}
+    assert seen == [(("mecshield", 50.0), {(s, 50.0): maps, (s, 100.0): maps}),
+                    (("mecshield", 100.0), {(s, 50.0): presented, (s, 100.0): maps}),
+                    (("centralized", 50.0), {(s, 50.0): presented, (s, 100.0): presented}),
+                    (("centralized", 100.0), {(s, 100.0): presented})]
     monkeypatch.setattr(harness, "run", real_run)
     assert rows == run_matrix(cfg, ["mecshield", "centralized"], levels)[0]
+
+
+def test_pretraining_pass_gives_each_map_train_map_alone(monkeypatch):
+    # the reference at 300 samples: a run matrix pretrains every level's
+    # local and central maps in one lockstep pass before its first cell, a
+    # run without a cache trains its own cell's maps in one pass, and each
+    # map equals `train_map` on the same samples
+    cfg = tiny_cfg()
+    levels = [100.0, 300.0]
+    passes, entries = [], []
+    real_pass, real_pretrain = harness.train_maps, harness.pretrain
+
+    def counting(c, sample_sets):
+        passes.append(len(sample_sets))
+        return real_pass(c, sample_sets)
+
+    def recording(cells, cache):
+        entries.extend(cells)
+        return real_pretrain(cells, cache)
+
+    monkeypatch.setattr(harness, "train_maps", counting)
+    monkeypatch.setattr(harness, "pretrain", recording)
+    run_matrix(cfg, list(SCHEMES), levels)
+    # 3 agents' local maps and 1 central map per level; every cell's own
+    # pretrain call then finds its maps in the cache
+    assert passes == [2 * 4]
+    matrix_entries = {id(e): (c, e) for c, e in entries}
+    assert len(matrix_entries) == len(levels)
+    for scheme in SCHEMES:
+        entries.clear()
+        passes.clear()
+        run(cfg.for_cell(scheme, 300.0))
+        assert passes == [1 if scheme == "centralized" else 3]
+        (c, entry), = entries
+        assert ("central" in entry) == (scheme == "centralized")
+        assert ("local" in entry) == (scheme != "centralized")
+        matrix_entries[id(entry)] = c, entry
+    checked = 0
+    for c, entry in matrix_entries.values():
+        training = entry["training"]
+        if "local" in entry:
+            for m, samples in zip(entry["local"], training, strict=True):
+                assert m.to_dict() == harness.train_map(c, *samples).to_dict()
+                checked += 1
+        if "central" in entry:
+            pooled = harness.pooled_samples(c, training)
+            assert entry["central"].to_dict() == harness.train_map(c, *pooled).to_dict()
+            checked += 1
+    assert checked == 2 * 4 + 3 + 3 + 1
 
 
 def test_metrics_row_columns():

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mecshield import som
 from mecshield.agent import (Agent, AgentConfig, FORWARD, NORMAL, PROTECTION,
                              R_BENIGN, Verdict)
 from mecshield.config import reference_config
 from mecshield.harness import build_training_set, train_map
 from mecshield.som import (BENIGN, MALICIOUS, UNLABELED, SomHyperParams,
-                           SomMap, UnlabeledMapError, _neighbours, _sq_dists,
+                           SomMap, UnlabeledMapError, _lattice, _sq_dists,
                            init_map, merge_maps)
 from mecshield.traffic import FlowRecord
 
@@ -603,22 +604,23 @@ def _state(m) -> list[bytes]:
                                   m.malicious_wins)] + [bytes(str(m.epoch), "ascii")]
 
 
-@settings(deadline=None, max_examples=150)
-@given(trained_maps(), st.data())
-def test_train_online_matches_single_row_reference_steps(m, data):
-    # one batch call trains its rows in order: each row's winner, weights,
-    # tallies and epoch as R reference steps give them, for labeled,
-    # unlabeled and self-labeled batches, the batch crossing sigma^2 = 1 or
-    # starting past its underflow; rows outside [0,1] exercise the clamps
-    hp = _draw_schedule(m, data, max_radius=8.0)
+def _draw_batch(m, data):
+    """A batch of 0-12 rows for m, rows outside [0,1] exercising the clamps."""
     rows = data.draw(st.integers(0, 12))
-    x = np.array(data.draw(st.lists(
+    return np.array(data.draw(st.lists(
         st.lists(st.floats(-0.5, 1.5), min_size=m.dim, max_size=m.dim),
         min_size=rows, max_size=rows)), dtype=np.float64).reshape(rows, m.dim)
-    kind = data.draw(st.sampled_from(["labeled", "unlabeled", "self"]))
-    labels = (data.draw(st.lists(st.sampled_from([None, BENIGN, MALICIOUS]),
-                                 min_size=rows, max_size=rows))
-              if kind == "labeled" else None)
+
+
+def _draw_labels(data, kind, rows):
+    return (data.draw(st.lists(st.sampled_from([None, BENIGN, MALICIOUS]),
+                               min_size=rows, max_size=rows))
+            if kind == "labeled" else None)
+
+
+def _reference_steps(m, x, hp, labels, kind):
+    """m's copy after one single-row reference step per row of x, in order,
+    and each row's winner."""
     ref = m.copy()
     wins = []
     for i, v in enumerate(x):
@@ -631,8 +633,75 @@ def test_train_online_matches_single_row_reference_steps(m, data):
             (ref.benign_wins if label == BENIGN else ref.malicious_wins)[win] += 1
         ref.epoch += 1
         wins.append(win)
+    return ref, wins
+
+
+@settings(deadline=None, max_examples=150)
+@given(trained_maps(), st.data())
+def test_train_online_matches_single_row_reference_steps(m, data):
+    # one batch call trains its rows in order: each row's winner, weights,
+    # tallies and epoch as R reference steps give them, for labeled,
+    # unlabeled and self-labeled batches, the batch crossing sigma^2 = 1 or
+    # starting past its underflow; rows outside [0,1] exercise the clamps
+    hp = _draw_schedule(m, data, max_radius=8.0)
+    x = _draw_batch(m, data)
+    kind = data.draw(st.sampled_from(["labeled", "unlabeled", "self"]))
+    labels = _draw_labels(data, kind, len(x))
+    ref, wins = _reference_steps(m, x, hp, labels, kind)
     assert m.train_online(x, hp, labels, self_labeled=(kind == "self")) == wins
     assert _state(m) == _state(ref)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([(20, 20), (7, 3), (3, 7), (1, 1)]), st.integers(1, 5),
+       st.integers(1, 4), st.sampled_from([1, 3, som.TABLE_STEPS]), st.data())
+def test_stacked_maps_match_each_map_trained_alone(shape, dim, count, table_steps, data):
+    # 1-4 maps of one shape stepped in lockstep, with batches of different
+    # lengths (so maps leave the stack at different steps), each get the
+    # weights, tallies, epoch and winners the single-row reference gives
+    # that map alone, across sigma^2 = 1 or past its underflow; a short
+    # coefficient table makes the steps cross table chunks
+    width, height = shape
+    maps = []
+    for _ in range(count):
+        m = init_map(width, height, dim, seed=data.draw(st.integers(0, 2**32 - 1)))
+        m.labels[:] = data.draw(st.lists(st.sampled_from([BENIGN, MALICIOUS, UNLABELED]),
+                                         min_size=m.neuron_count, max_size=m.neuron_count))
+        maps.append(m)
+    hp = _draw_schedule(maps[0], data, max_radius=30.0)
+    for m in maps:
+        m.epoch = maps[0].epoch
+    batches = [_draw_batch(m, data) for m in maps]
+    kind = data.draw(st.sampled_from(["labeled", "unlabeled", "self"]))
+    labels = [_draw_labels(data, kind, len(x)) for x in batches]
+    refs = [_reference_steps(m, x, hp, labs, kind) for m, x, labs in zip(maps, batches, labels)]
+    table = som.TABLE_STEPS
+    som.TABLE_STEPS = table_steps
+    try:
+        got = som.train_maps(maps, batches, hp, None if kind != "labeled" else labels,
+                             self_labeled=(kind == "self"))
+    finally:
+        som.TABLE_STEPS = table
+    assert got == [wins for _, wins in refs]
+    for m, (ref, _) in zip(maps, refs):
+        assert _state(m) == _state(ref)
+
+
+def test_stacked_maps_share_shape_and_epoch():
+    hp = SomHyperParams()
+    a, b = init_map(4, 4, 3, seed=0), init_map(4, 4, 3, seed=1)
+    x = np.full((2, 3), 0.5)
+    for other, match in ((init_map(4, 5, 3, seed=1), "shape"), (init_map(4, 4, 2, seed=1), "shape")):
+        with pytest.raises(ValueError, match=match):
+            som.train_maps([a, other], [x, x[:, :other.dim]], hp)
+    b.epoch = 1
+    with pytest.raises(ValueError, match="epoch"):
+        som.train_maps([a, b], [x, x], hp)
+    with pytest.raises(ValueError, match="twice"):
+        som.train_maps([a, a], [x, x], hp)
+    with pytest.raises(ValueError, match="batches"):
+        som.train_maps([a], [x, x], hp)
+    assert a.epoch == 0 and not a.hit_counts.any()
 
 
 def test_maps_hold_no_negative_zero_weight():
@@ -786,6 +855,9 @@ def test_batch_rows_have_the_single_vector_bits(reference_maps):
 
 @pytest.mark.parametrize("width, height", [(20, 20), (7, 3), (3, 7), (1, 1)])
 def test_neighbour_table_matches_mask(width, height):
+    # each rank row maps every neuron to exactly its squared lattice distance
+    # from the winner, so a distinct distance within a radius picks exactly
+    # the neurons the lattice mask picks
     n = width * height
     rows, cols = np.divmod(np.arange(n), width)
     top = (width - 1) ** 2 + (height - 1) ** 2
@@ -793,12 +865,13 @@ def test_neighbour_table_matches_mask(width, height):
                     *range(top + 1), *(k + 0.5 for k in range(top + 1))})
     # on 20x20, the corners, edge midpoints, the centre and a few others
     wins = range(n) if n < 100 else [0, 9, 19, 190, 210, 231, 380, 399, 57, 333]
-    table = _neighbours(width, height)
+    d2, rank = _lattice(width, height)
+    assert rank.shape == (n, n) and rank.dtype.kind == "u"
+    assert d2.dtype == np.float64 and (np.diff(d2) > 0).all()
+    if (width, height) == (20, 20):
+        assert len(d2) == 180 and rank.nbytes <= 320 * 1024
     for win in wins:
         lattice_d2 = (rows - rows[win]) ** 2 + (cols - cols[win]) ** 2
+        assert d2[rank[win]].tobytes() == lattice_d2.astype(np.float64).tobytes()
         for s2 in radii:
-            near, d2 = table.within(win, s2)
-            want = np.flatnonzero(lattice_d2 <= s2)
-            assert np.array_equal(np.sort(near), want)
-            assert d2.tobytes() == lattice_d2[near].astype(np.float64).tobytes()
-            assert (np.diff(d2) >= 0).all()
+            assert np.array_equal(d2[rank[win]] <= s2, lattice_d2 <= s2)
