@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from .errors import ConfigError, DataError
 from .features import MODE_DIM
 from .harness import METRIC_COLUMNS, confusion, flows_to_samples, run_matrix, train_map
 from .som import BENIGN, MALICIOUS, SomMap
-from .traffic import (MAX_FLOWS, AttackProfile, default_benign_profile, gen_attack,
-                      gen_benign, load_flow_csv, write_flow_csv)
+from .traffic import (ADDR_MAX, MAX_FLOWS, AttackProfile, default_benign_profile,
+                      gen_attack, gen_benign, load_flow_csv, write_flow_csv)
 
 
 def _fmt(value) -> str:
@@ -186,6 +187,18 @@ def cmd_gen(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
+def _int_in(lo: int, hi: float, what: str):
+    """An argparse type: an integer in lo..hi.  argparse names the flag in
+    its error, and `main` returns 1 for it."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    parse.__name__ = "integer"      # argparse's "invalid integer value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mecshield",
@@ -222,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", default="app_layer",
                     choices=["volumetric", "app_layer"])
     sp.add_argument("--sub-mode", dest="sub_mode", default="session_flood")
-    sp.add_argument("--target-addr", dest="target_addr", type=int,
-                    default=0xD0000001)
+    sp.add_argument("--target-addr", dest="target_addr", default=0xD0000001,
+                    type=_int_in(0, ADDR_MAX, f"an IPv4 address, 0..{ADDR_MAX}"))
     sp.add_argument("--bots", type=int, default=10)
     sp.add_argument("--duration", type=float, default=60.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_in(0, math.inf, "non-negative"), default=0)
     sp.set_defaults(func=cmd_gen)
     return p
 

@@ -18,7 +18,7 @@ from .controller import DetectionThresholds
 from .errors import ConfigError
 from .features import FeatureMode, NormalizationSpec
 from .som import SomHyperParams
-from .traffic import (MAX_FLOWS, VOLUMETRIC, AttackProfile, BenignProfile,
+from .traffic import (ADDR_MAX, MAX_FLOWS, VOLUMETRIC, AttackProfile, BenignProfile,
                       default_benign_profile)
 
 CONFIG_VERSION = 1
@@ -64,7 +64,9 @@ def host_addrs(addr_lo: int, count: int, src_offset: int = 0, k: int = 0) -> ran
 
 def pretrain_duration(samples: int, rate: float, malicious: bool) -> float:
     """Seconds of traffic `harness.build_training_set` first generates for
-    `samples` pretraining flows at `rate` flows/s."""
+    `samples` pretraining flows at `rate` flows/s.  The generators draw
+    every flow of it but build only the windows the samples are read from,
+    so the padding beyond `samples` costs its draws alone."""
     return samples / rate * 1.3 + (30.0 if malicious else 60.0)
 
 
@@ -128,6 +130,14 @@ class ScenarioConfig(AgentConfig):
         ids = [a.agent_id for a in self.agents]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate agent ids")
+        addrs = [(f"scenario.agents[{i}].{name}", getattr(a, name))
+                 for i, a in enumerate(self.agents) for name in ("addr_lo", "addr_hi")]
+        addrs += [(f"scenario.attacks[{k}].target_addr", atk.profile.target_addr)
+                  for k, atk in enumerate(self.attacks)]
+        for where, addr in addrs:
+            if not 0 <= addr <= ADDR_MAX:
+                raise ConfigError(f"{where}: {addr} is not an IPv4 address "
+                                  f"(0..{ADDR_MAX:#x})")
         spans = sorted((a.addr_lo, a.addr_hi, a.agent_id) for a in self.agents)
         for (lo1, hi1, id1), (lo2, hi2, id2) in zip(spans, spans[1:]):
             if lo2 <= hi1:

@@ -171,19 +171,21 @@ def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
                      spec: NormalizationSpec, window_length: float,
                      count: int | None = None):
     """Window the flows and extract one labeled vector per flow, in window
-    order; with a `count`, only the first `count` of them.  Windows are
-    extracted independently, so extraction stops after the window that
-    reaches `count`."""
+    order; with a `count`, only the first `count` of them.  A window's
+    statistics cover all its flows and each vector reads one flow, so
+    extraction stops at the `count`-th flow, inside the last window read."""
     vectors, labels = [], []
     for w, batch in sorted(_window_buckets(flows, window_length).items()):
         if count is not None and len(vectors) >= count:
             break
         stats = window_stats(batch, w * window_length, window_length)
+        if count is not None:
+            batch = batch[:count - len(vectors)]
         vecs = extract(batch, mode, spec, stats)
         for v, f in zip(vecs, batch):
             vectors.append(v)
             labels.append(MALICIOUS if f.truth_label == LABEL_MALICIOUS else BENIGN)
-    return vectors[:count], labels[:count]
+    return vectors, labels
 
 
 def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None = None):
@@ -198,9 +200,12 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None
     profile = agent.benign_profile()
 
     def take(n, dur, gen, what):
-        """The first n samples of gen(dur) flows, doubling dur until enough."""
+        """The first n samples of gen(dur, windows) flows, doubling dur until
+        enough; the generator draws every flow of dur but builds only those
+        of the windows the samples come from."""
         for _ in range(6):
-            vecs, labs = flows_to_samples(gen(dur), cfg.feature_mode, cfg.norm_spec,
+            flows = gen(dur, (cfg.window_length, n))
+            vecs, labs = flows_to_samples(flows, cfg.feature_mode, cfg.norm_spec,
                                           cfg.window_length, count=n)
             if len(vecs) == n:
                 return vecs, labs
@@ -213,9 +218,9 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None
     if key not in cache:
         cache[key] = take(
             n_ben, pretrain_duration(n_ben, profile.flow_rate(), malicious=False),
-            lambda dur: gen_benign(profile, dur,
-                                   seed=derive_seed(cfg.seed, "pretrain-b", agent.agent_id),
-                                   src_base=agent.addr_lo),
+            lambda dur, windows: gen_benign(
+                profile, dur, seed=derive_seed(cfg.seed, "pretrain-b", agent.agent_id),
+                src_base=agent.addr_lo, windows=windows),
             "benign")
     # copies: the attack samples are appended to these lists
     vectors, labels = (list(x) for x in cache[key])
@@ -227,10 +232,12 @@ def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None
             vecs, labs = take(
                 share[k],
                 pretrain_duration(share[k], atk.profile.flow_rate(), malicious=True),
-                lambda dur: gen_attack(atk.profile, dur,
-                                       seed=derive_seed(cfg.seed, "pretrain-m", agent.agent_id, k),
-                                       src_base=host_addrs(agent.addr_lo, atk.profile.bot_count,
-                                                           atk.src_offset, k).start),
+                lambda dur, windows: gen_attack(
+                    atk.profile, dur,
+                    seed=derive_seed(cfg.seed, "pretrain-m", agent.agent_id, k),
+                    src_base=host_addrs(agent.addr_lo, atk.profile.bot_count,
+                                        atk.src_offset, k).start,
+                    windows=windows),
                 "attack")
             vectors.extend(vecs)
             labels.extend(labs)

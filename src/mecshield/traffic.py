@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import operator
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,9 @@ ALARM = "alarm"
 
 VOLUMETRIC = "volumetric"
 APP_LAYER = "app_layer"
+
+# every address is IPv4: an integer in 0..ADDR_MAX
+ADDR_MAX = 0xFFFFFFFF
 
 # response-bytes : request-bytes ranges of the abused reflector services
 AMPLIFICATION = {
@@ -197,43 +201,49 @@ class AttackProfile:
         return self.bot_count * self.session_rate()
 
 
-def _packet_times(rng, start: float, dur: float, count: int) -> array:
-    if count <= 0:
-        return array("d")
-    ts = rng.uniform(0.0, dur, size=count)
-    ts.sort()
-    ts += start
-    return array("d", ts.tobytes())
+def _to_build(starts: list[float],
+              windows: tuple[float, int] | None) -> range | list[int]:
+    """The generation indices, in order, of the drawn flows that a generator
+    builds, flow k starting at starts[k]: every flow, or with
+    windows=(L, count) those in the leading windows that hold the first
+    `count` flows in window order.  Flow k lies in window int(starts[k] // L),
+    as `harness.flows_to_samples` groups flows, so these are the windows that
+    `flows_to_samples(..., count=count)` reads, each whole and in order."""
+    if windows is None:
+        return range(len(starts))
+    length, count = windows
+    index = [int(s // length) for s in starts]
+    sizes = Counter(index)
+    held, last = 0, -float("inf")
+    for w in sorted(sizes):
+        if held >= count:
+            break
+        held, last = held + sizes[w], w
+    return [k for k, w in enumerate(index) if w <= last]
 
 
 def gen_benign(profile: BenignProfile, duration: float, seed: int,
                src_base: int = 0x0A000000, dst_addr: int = 0xC0A80001,
-               t0: float = 0.0) -> list[FlowRecord]:
-    """Benign flows for one category over [t0, t0+duration); deterministic per seed."""
+               t0: float = 0.0, *,
+               windows: tuple[float, int] | None = None) -> list[FlowRecord]:
+    """Benign flows for one category over [t0, t0+duration); deterministic per
+    seed.  Every flow is drawn; `windows` selects the ones built (see
+    `_to_build`)."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng([seed, 0x0BE19])
-    flows: list[FlowRecord] = []
+    draws = []          # (source, start, unsorted packet offsets) per flow
 
-    def emit(src, start, pkts):
-        pkts = max(1, int(pkts))
-        dur = min(profile.flow_duration, t0 + duration - start)
-        dur = max(dur, 1e-6)
-        ts = _packet_times(rng, start, dur, pkts)
-        flows.append(FlowRecord(
-            flow_id=f"{profile.category}-{len(flows)}",
-            src_addr=src, dst_addr=dst_addr, protocol=profile.protocol,
-            dst_port=profile.dst_port, packet_count=pkts,
-            byte_count=pkts * profile.bytes_per_packet,
-            start_time=start, end_time=ts[-1] if ts else start,
-            packet_timestamps=ts, truth_label=LABEL_BENIGN))
+    def draw(src, start, pkts):
+        dur = max(min(profile.flow_duration, t0 + duration - start), 1e-6)
+        draws.append((src, start, rng.uniform(0.0, dur, size=max(1, int(pkts)))))
 
     if profile.category == SENSOR:
         for d in range(profile.device_count):
             n = int(np.floor(duration / profile.period + 1e-9))
             for k in range(n):
                 start = t0 + k * profile.period
-                emit(src_base + d, start, rng.poisson(profile.packets_per_flow - 1) + 1)
+                draw(src_base + d, start, rng.poisson(profile.packets_per_flow - 1) + 1)
     elif profile.category == MONITOR:
         gap = 60.0 / profile.flows_per_minute
         for d in range(profile.device_count):
@@ -242,7 +252,7 @@ def gen_benign(profile: BenignProfile, duration: float, seed: int,
                 start = t0 + k * gap
                 if start >= t0 + duration:
                     break
-                emit(src_base + d, start, rng.normal(profile.packets_per_flow,
+                draw(src_base + d, start, rng.normal(profile.packets_per_flow,
                                                      profile.packets_per_flow / 10.0))
     else:  # ALARM
         t = t0 + float(rng.exponential(1.0 / profile.event_rate))
@@ -252,26 +262,53 @@ def gen_benign(profile: BenignProfile, duration: float, seed: int,
                 start = t + b * 0.1
                 if start >= t0 + duration:
                     break
-                emit(src, start, rng.poisson(profile.packets_per_flow - 1) + 1)
+                draw(src, start, rng.poisson(profile.packets_per_flow - 1) + 1)
             t += float(rng.exponential(1.0 / profile.event_rate))
+
+    # drop the draws of the flows not built first, then each draw as its flow
+    # is built, so that the built flows reuse the draws' memory: holes left
+    # among them fragmented the heap and raised seed-sweep's peak RSS ~1 MiB
+    todo = [(k, draws[k]) for k in _to_build([start for _, start, _ in draws], windows)]
+    draws.clear()
+    flows: list[FlowRecord] = []
+    for i, (k, (src, start, offsets)) in enumerate(todo):
+        todo[i] = None
+        offsets.sort()
+        offsets += start
+        ts = array("d", offsets.tobytes())
+        pkts = len(ts)
+        flows.append(FlowRecord(
+            flow_id=f"{profile.category}-{k}",
+            src_addr=src, dst_addr=dst_addr, protocol=profile.protocol,
+            dst_port=profile.dst_port, packet_count=pkts,
+            byte_count=pkts * profile.bytes_per_packet,
+            start_time=start, end_time=ts[-1],
+            packet_timestamps=ts, truth_label=LABEL_BENIGN))
     for f in flows:
         f.validate()
     return flows
 
 
 def gen_attack(profile: AttackProfile, duration: float, seed: int,
-               src_base: int = 0xC6000000, t0: float = 0.0) -> list[FlowRecord]:
-    """Malicious flows for one adversary over [t0, t0+duration); deterministic per seed."""
+               src_base: int = 0xC6000000, t0: float = 0.0, *,
+               windows: tuple[float, int] | None = None) -> list[FlowRecord]:
+    """Malicious flows for one adversary over [t0, t0+duration); deterministic
+    per seed.  Every flow is drawn; `windows` selects the ones built (see
+    `_to_build`)."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng([seed, 0xA77AC])
     if profile.scenario == VOLUMETRIC:
-        return _gen_volumetric(profile, duration, rng, src_base, t0)
-    return _gen_app_layer(profile, duration, rng, src_base, t0)
+        flows = _gen_volumetric(profile, duration, rng, src_base, t0, windows)
+    else:
+        flows = _gen_app_layer(profile, duration, rng, src_base, t0, windows)
+    for f in flows:
+        f.validate()
+    return flows
 
 
 def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
-                    t0: float) -> list[FlowRecord]:
+                    t0: float, windows) -> list[FlowRecord]:
     lo, hi = AMPLIFICATION[p.sub_mode]
     port = SERVICE_PORT[p.sub_mode]
     # every bot's requests with their amplification draws, then in time order
@@ -285,13 +322,19 @@ def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
             pairs.append((t, bot, factor))
             t += 1.0 / p.requests_per_bot_per_s
     pairs.sort()
+    # request k is flow 2k, its response flow 2k + 1
     flows: list[FlowRecord] = []
-    for k, (t, bot, factor) in enumerate(pairs):
-        flows.append(FlowRecord(
-            flow_id=f"req-{k}", src_addr=bot, dst_addr=AMPLIFIER_ADDR,
-            protocol=UDP, dst_port=port, packet_count=1, byte_count=REQUEST_BYTES,
-            start_time=t, end_time=t, packet_timestamps=array("d", (t,)),
-            truth_label=LABEL_MALICIOUS))
+    for n in _to_build([s for t, _, _ in pairs for s in (t, t + 0.001)], windows):
+        k, response = divmod(n, 2)
+        t, bot, factor = pairs[k]
+        if not response:
+            flows.append(FlowRecord(
+                flow_id=f"req-{k}", src_addr=bot, dst_addr=AMPLIFIER_ADDR,
+                protocol=UDP, dst_port=port, packet_count=1, byte_count=REQUEST_BYTES,
+                start_time=t, end_time=t, packet_timestamps=array("d", (t,)),
+                truth_label=LABEL_MALICIOUS))
+            continue
+        pairs[k] = None
         rsp_dst = p.target_addr if p.spoofing else bot
         rsp_pkts = max(1, int(factor))
         rsp_start = t + 0.001
@@ -302,33 +345,24 @@ def _gen_volumetric(p: AttackProfile, duration: float, rng, src_base: int,
             byte_count=REQUEST_BYTES * factor,
             start_time=rsp_start, end_time=ts[-1], packet_timestamps=ts,
             truth_label=LABEL_MALICIOUS))
-    for f in flows:
-        f.validate()
     return flows
 
 
 def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
-                   t0: float) -> list[FlowRecord]:
+                   t0: float, windows) -> list[FlowRecord]:
     rate = p.session_rate()
     pkts = max(1, int(round(p.base_packets_per_flow *
                             (p.multiplier if p.sub_mode == "request_flood" else 1.0))))
     byte_w = p.bytes_per_packet * (p.multiplier if p.sub_mode == "asymmetric" else 1.0)
-    flows: list[FlowRecord] = []
+    bots, starts = [], []               # per session
+    offsets = [np.empty((0, pkts))]     # unsorted packet offsets, a row per session
 
-    def emit(bot, starts):
+    def draw(bot, run):
         # one draw for a run of sessions with no other draw between them:
         # the same stream as one draw of pkts per session
-        ts =rng.uniform(0.0, p.session_duration, size=(len(starts), pkts))
-        ts.sort(axis=1)
-        ts += np.array(starts)[:, None]
-        flat = array("d", ts.tobytes())
-        for k, start in enumerate(starts):
-            row = flat[k * pkts:(k + 1) * pkts]
-            flows.append(FlowRecord(
-                flow_id=f"atk-{bot:x}-{len(flows)}", src_addr=bot,
-                dst_addr=p.target_addr, protocol=p.protocol, dst_port=p.dst_port,
-                packet_count=pkts, byte_count=pkts * byte_w, start_time=start,
-                end_time=row[-1], packet_timestamps=row, truth_label=LABEL_MALICIOUS))
+        offsets.append(rng.uniform(0.0, p.session_duration, size=(len(run), pkts)))
+        bots.extend([bot] * len(run))
+        starts.extend(run)
 
     for b in range(p.bot_count):
         bot = src_base + b
@@ -337,19 +371,32 @@ def _gen_app_layer(p: AttackProfile, duration: float, rng, src_base: int,
             burst_rate = rate / p.burst_size
             t = t0 + float(rng.exponential(1.0 / burst_rate))
             while t < t0 + duration:
-                starts = [t + k * p.burst_interval for k in range(p.burst_size)]
-                emit(bot, [s for s in starts if s < t0 + duration])
+                run = [t + k * p.burst_interval for k in range(p.burst_size)]
+                draw(bot, [s for s in run if s < t0 + duration])
                 t += float(rng.exponential(1.0 / burst_rate))
         else:
             phase = float(rng.uniform(0.0, 1.0 / rate))
             t = t0 + phase
-            starts = []
+            run = []
             while t < t0 + duration:
-                starts.append(t)
+                run.append(t)
                 t += 1.0 / rate
-            emit(bot, starts)
-    for f in flows:
-        f.validate()
+            draw(bot, run)
+
+    built = _to_build(starts, windows)
+    ts = np.concatenate(offsets)[built]
+    offsets.clear()
+    ts.sort(axis=1)
+    ts += np.array(starts)[built][:, None]
+    flat = array("d", ts.tobytes())
+    flows: list[FlowRecord] = []
+    for j, k in enumerate(built):
+        row = flat[j * pkts:(j + 1) * pkts]
+        flows.append(FlowRecord(
+            flow_id=f"atk-{bots[k]:x}-{k}", src_addr=bots[k],
+            dst_addr=p.target_addr, protocol=p.protocol, dst_port=p.dst_port,
+            packet_count=pkts, byte_count=pkts * byte_w, start_time=starts[k],
+            end_time=row[-1], packet_timestamps=row, truth_label=LABEL_MALICIOUS))
     return flows
 
 

@@ -187,6 +187,9 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (("scenario", "attacks", 1, "scale_with_level"), "no"),
                          (("scenario", "attacks", 1, "src_offset"), 1.7),
                          (("scenario", "agents", 0, "profile", "device_count"), 0x10001),
+                         (("scenario", "attacks", 0, "target_addr"), -5),
+                         (("scenario", "attacks", 1, "target_addr"), 2**40),
+                         (("scenario", "agents", 2, "addr_hi"), 2**33),
                          (("schemes",), ["mecshield", "mecshield"]),
                          (("attack_levels",), [100, 100.0])]:
         doc = tiny_config_doc()
@@ -218,6 +221,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     # `--seed` is the run seed; training and evaluation read no seed
     (["train", "--seed", "1", "{out}"], "--seed"),
     (["eval", "--seed", "1", "{out}", "{out}"], "--seed"),
+    (["gen", "benign", "{out}", "--seed", "-1"], "--seed"),
+    (["gen", "attack", "{out}", "--scenario", "volumetric", "--sub-mode", "dns",
+      "--target-addr", "-5"], "--target-addr"),
+    (["gen", "attack", "{out}", "--target-addr", "4294967296"], "--target-addr"),
 ])
 def test_bad_arguments_exit_1_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "flows.csv"

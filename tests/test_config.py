@@ -165,6 +165,25 @@ def test_benign_devices_must_sit_in_their_agents_range(i, bad, good):
     parse_config(doc)
 
 
+# (section, index, its fields set to a value outside IPv4, the key named,
+# the same fields set to the nearest accepted values)
+@pytest.mark.parametrize("section, i, bad, key, good", [
+    ("attacks", 0, {"target_addr": -5}, "target_addr", {"target_addr": 0}),
+    ("attacks", 1, {"target_addr": 2**40}, "target_addr", {"target_addr": 0xFFFFFFFF}),
+    ("agents", 0, {"addr_lo": -70000, "addr_hi": -1}, "addr_lo",
+     {"addr_lo": 0, "addr_hi": 0xFFFF}),
+    ("agents", 2, {"addr_hi": 2**33}, "addr_hi", {"addr_hi": 0xFFFFFFFF}),
+    ("agents", 2, {"addr_hi": 0x100000000}, "addr_hi", {"addr_hi": 0xFFFFFFFF}),
+])
+def test_addresses_must_be_ipv4(section, i, bad, key, good):
+    doc = reference_config_dict()
+    doc["scenario"][section][i].update(bad)
+    with pytest.raises(ConfigError, match=re.escape(f"scenario.{section}[{i}].{key}: ")):
+        parse_config(doc)
+    doc["scenario"][section][i].update(good)
+    parse_config(doc)
+
+
 def test_flow_cap_rejects_huge_levels():
     # an unbounded level used to hang the generators: `t += 1/rate` stops
     # advancing once 1/rate is below the float spacing near t

@@ -19,12 +19,13 @@ from mecshield import harness
 from mecshield.config import SCHEMES, parse_config, reference_config, reference_config_dict
 from mecshield.controller import Controller
 from mecshield.errors import ConfigError
-from mecshield.features import extract_one, window_stats
+from mecshield.features import FeatureMode, NormalizationSpec, extract_one, window_stats
 from mecshield.harness import (MAP_SEED, build_training_set, compute_metrics, confusion,
                                derive_seed, event_log_digest, flows_to_samples,
                                generate_traffic, metrics_row, present_traffic,
                                METRIC_COLUMNS, run, run_matrix)
-from mecshield.traffic import LABEL_MALICIOUS
+from mecshield.traffic import (ALARM, LABEL_MALICIOUS, MONITOR, SENSOR, AttackProfile,
+                               BenignProfile, gen_attack, gen_benign)
 
 
 
@@ -179,6 +180,65 @@ def test_flows_to_samples_count_keeps_the_first_samples():
         got_v, got_l = flows_to_samples(flows, *args, count=n)
         assert got_l == labs[:n]
         assert [v.tobytes() for v in got_v] == [v.tobytes() for v in vecs[:n]]
+
+
+# generator, profile and keyword arguments of each drawn family
+_FAMILIES = {
+    "sensor": (gen_benign, BenignProfile(SENSOR, device_count=4, period=3.0,
+                                         flow_duration=2.0), {}),
+    "monitor": (gen_benign, BenignProfile(MONITOR, device_count=2, flows_per_minute=6.0,
+                                          packets_per_flow=60.0, flow_duration=30.0), {}),
+    "alarm": (gen_benign, BenignProfile(ALARM, device_count=5, event_rate=0.3,
+                                        burst_flows=6, packets_per_flow=2.0,
+                                        flow_duration=2.0), {}),
+    "session_flood": (gen_attack, AttackProfile("app_layer", "session_flood", target_addr=9,
+                                                bot_count=3, base_session_rate=0.4), {}),
+    "burst": (gen_attack, AttackProfile("app_layer", "session_flood", target_addr=9,
+                                        bot_count=2, base_session_rate=0.5, burst_size=5,
+                                        burst_interval=0.3), {}),
+    "request_flood": (gen_attack, AttackProfile("app_layer", "request_flood", target_addr=9,
+                                                bot_count=2), {}),
+    "asymmetric": (gen_attack, AttackProfile("app_layer", "asymmetric", target_addr=9,
+                                             bot_count=2, base_session_rate=2.0), {}),
+    "dns": (gen_attack, AttackProfile("volumetric", "dns", target_addr=9, bot_count=2,
+                                      requests_per_bot_per_s=3.0), {}),
+    "ntp": (gen_attack, AttackProfile("volumetric", "ntp", target_addr=9, bot_count=2,
+                                      spoofing=False, requests_per_bot_per_s=2.0), {}),
+}
+
+
+def _windows(flows, window_length):
+    """Flow ids by window, in window order."""
+    out = {}
+    for f in flows:
+        out.setdefault(int(f.start_time // window_length), []).append(f.flow_id)
+    return dict(sorted(out.items()))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(sorted(_FAMILIES)), st.floats(0.5, 60.0),
+       st.one_of(st.just(0.7), st.floats(0.2, 12.0)),
+       st.one_of(st.integers(0, 40), st.integers(0, 2000)),
+       st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+       st.sampled_from(list(FeatureMode)), st.integers(0, 2**32 - 1))
+def test_windowed_build_gives_the_same_training_set(family, duration, window_length,
+                                                   count, t0, mode, seed):
+    gen, profile, kw = _FAMILIES[family]
+    full = gen(profile, duration, seed, t0=t0, **kw)
+    part = gen(profile, duration, seed, t0=t0, windows=(window_length, count), **kw)
+    spec = NormalizationSpec()
+    want_v, want_l = flows_to_samples(full, mode, spec, window_length, count=count)
+    got_v, got_l = flows_to_samples(part, mode, spec, window_length, count=count)
+    assert got_l == want_l
+    assert [v.tobytes() for v in got_v] == [v.tobytes() for v in want_v]
+    by_id = {f.flow_id: f for f in full}
+    assert all(f.__dict__ == by_id[f.flow_id].__dict__ for f in part)
+    # the leading windows, whole, and no more than hold `count` flows
+    want, got = _windows(full, window_length), _windows(part, window_length)
+    assert list(got.items()) == list(want.items())[:len(got)]
+    sizes = [len(ids) for ids in got.values()]
+    assert not sizes or sum(sizes[:-1]) < count
+    assert sum(sizes) >= count or got == want
 
 
 def test_run_deterministic_event_log():

@@ -1,4 +1,5 @@
 """Traffic generator and CSV ingestion tests."""
+import dataclasses
 import hashlib
 import tracemalloc
 from array import array
@@ -295,6 +296,75 @@ def test_timestamps_are_packed_and_equal_the_list_path(source):
         assert type(f.end_time) is float
     got = repr([list(f.packet_timestamps) for f in flows])
     assert hashlib.sha256(got.encode()).hexdigest() == LIST_PATH_TIMESTAMPS[source]
+
+
+def _app(mode, **kw):
+    return AttackProfile("app_layer", mode, target_addr=0xD0000001, bot_count=4,
+                         base_session_rate=0.3, **kw)
+
+
+def _vol(mode, spoofing):
+    return AttackProfile("volumetric", mode, target_addr=0xD0000001, bot_count=3,
+                         spoofing=spoofing, requests_per_bot_per_s=2.5)
+
+
+# one call per generator family and branch: (generator, profile, duration,
+# seed, keyword arguments)
+FAMILY_CASES = {
+    "sensor": (gen_benign, BenignProfile(SENSOR, device_count=3, period=7.0,
+                                         packets_per_flow=5.0, flow_duration=1.5),
+               60.5, 1, dict(src_base=0x0A000010, t0=3.0)),
+    "monitor": (gen_benign, BenignProfile(MONITOR, device_count=2, flows_per_minute=6.0,
+                                          packets_per_flow=200.0, flow_duration=30.0),
+                95.0, 2, dict(dst_addr=0xC0A80002)),
+    "monitor-short": (gen_benign, default_benign_profile(MONITOR), 20.0, 2, {}),
+    "alarm": (gen_benign, BenignProfile(ALARM, device_count=5, event_rate=0.2,
+                                        burst_flows=12, packets_per_flow=2.0,
+                                        flow_duration=2.0), 120.0, 3, {}),
+    "session_flood": (gen_attack, _app("session_flood", multiplier=10.0), 40.0, 4,
+                      dict(t0=5.0)),
+    "session_flood-burst": (gen_attack, _app("session_flood", multiplier=10.0,
+                                             burst_size=4, burst_interval=0.2),
+                            40.0, 5, dict(src_base=0xC6000100)),
+    "request_flood": (gen_attack, _app("request_flood", multiplier=10.0), 30.0, 6, {}),
+    "asymmetric": (gen_attack, _app("asymmetric", multiplier=8.0), 30.0, 7, {}),
+    "dns": (gen_attack, _vol("dns", True), 12.0, 8, dict(t0=2.0)),
+    "dns-unspoofed": (gen_attack, _vol("dns", False), 12.0, 8, {}),
+    "ntp": (gen_attack, _vol("ntp", True), 12.0, 9, {}),
+    "ntp-unspoofed": (gen_attack, _vol("ntp", False), 12.0, 9, {}),
+}
+
+# sha256 of the repr of every field of every flow, in field order, as the
+# generators gave them before flow generation was split into drawing and
+# building: repr round-trips each float and tells an int from a float
+FAMILY_FLOWS = {
+    "alarm": "d5f289eee1602dc0c24f3dfc8a70e5562f72a74b318245dd9f4efe078d92515c",
+    "asymmetric": "cd135e6edb2443205e8a833286a37909124cece0281698b4f9b4b62e151a5bbd",
+    "dns": "6af8af021d43572d9ce34a343cd997cfc7b3178501d38cf411dee1817f1b7c6f",
+    "dns-unspoofed": "8d00e547d43a6a834a25b86854b0ca76282414fa7ef0e6ce066b2e2b35f2562c",
+    "monitor": "0f18ffd2be43677c3bbf1ab675216dba8e6f3ff61e9b60f38fdfc437c8663c84",
+    "monitor-short": "ad3035c92e1134f86726a78c5155010d6965760a8facbd8c414aec95ac7f3b0e",
+    "ntp": "61b618b8214ca13fdce684071fe5662727203094a803ed07dbc6967a9dc31941",
+    "ntp-unspoofed": "e13dc35a5b33eecebfd1db0406023cdf189b668a23e161daafa9417d1ab97c90",
+    "request_flood": "9c2a222eef6edc81b2be9fb7a07c8a8e5aaf545c75c29db4374401b94a872472",
+    "sensor": "537b44b1ccdb0882409a374c84253ffe9e2478ce0ff5a2fe9d25694c3765cbc6",
+    "session_flood": "94c9d8622986ed40e6a603006c3f706be04f61265640b7de639990d28efd526f",
+    "session_flood-burst": "1e911825822ed8c4b02155e65296954fe5c63a869990c4ae8885277ac0f12468",
+}
+
+
+def _flows_digest(flows) -> str:
+    names = [f.name for f in dataclasses.fields(FlowRecord)]
+    got = repr([[getattr(f, n) for n in names] for f in flows])
+    return hashlib.sha256(got.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_every_field_of_each_family_is_pinned(case):
+    gen, profile, duration, seed, kw = FAMILY_CASES[case]
+    flows = gen(profile, duration, seed, **kw)
+    assert flows
+    assert _flows_digest(flows) == FAMILY_FLOWS[case]
 
 
 def test_attack_labels_and_determinism():
