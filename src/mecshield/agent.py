@@ -2,12 +2,10 @@
 state machine, policy application, and window reports for the controller."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .features import FeatureMode
-from .som import MALICIOUS, SomHyperParams, SomMap
+from .som import MALICIOUS
 from .traffic import FlowRecord
 
 NORMAL = "normal"
@@ -51,20 +49,18 @@ class AgentConfig:
     quiet_period: float = 30.0
     local_trigger_count: int = 5      # malicious winners in one window that arm protection locally
     feature_mode: FeatureMode = FeatureMode.SOURCE_SITE
-    hyperparams: SomHyperParams = field(default_factory=SomHyperParams)
 
 
 class Agent:
-    """One sequential edge-agent state machine; no shared state across agents."""
+    """One sequential edge-agent state machine; no shared state across agents.
 
-    def __init__(self, agent_id: str, som: SomMap | None,
-                 config: AgentConfig | None = None, log: list | None = None,
-                 filter_always_on: bool = False):
-        """`som` is the agent's one filter, trained in `ingest`; None for an
-        agent that only observes (the centralized scheme's)."""
+    The agent's filter is a map that keeps training online on the traffic
+    the agent monitors; the agent holds only its labels (see `ingest`)."""
+
+    def __init__(self, agent_id: str, config: AgentConfig | None = None,
+                 log: list | None = None, filter_always_on: bool = False):
         self.agent_id = agent_id
         self.config = config or AgentConfig()
-        self.som = som
         self.mode = PROTECTION if filter_always_on else NORMAL
         self.filter_always_on = filter_always_on
         self.active_policy = None
@@ -88,43 +84,36 @@ class Agent:
 
     # -- main ingest path --------------------------------------------------
 
-    def ingest(self, flows: list[FlowRecord], vectors: np.ndarray,
+    def ingest(self, flows: list[FlowRecord], predicted: list,
                now: float) -> tuple[list[Verdict], int]:
-        """Process the flows of the window that closes at `now`.  `vectors`
-        holds their feature vectors, row i for flows[i], extracted over
-        [now - window_length, now) (`harness.present_traffic` builds them);
-        the agent never writes to them.
+        """Process the flows of the window that closes at `now`.  `predicted`
+        holds their labels, item i for flows[i]: the label of the neuron that
+        flow wins in the agent's map, or None if the map has no labels.  The
+        map trains on every flow in both modes, each step labeled by the
+        map's own verdict, whose winner also serves the verdict
+        (`harness.online_pass` trains it and gives the labels).
 
-        Normal mode forwards everything but still trains the SOM from the
-        monitored traffic; protection mode classifies each flow and drops
-        what the map calls malicious.  Returns the verdicts and the work
-        units spent (vectors classified + vectors trained).
+        Normal mode forwards everything; protection mode classifies each flow
+        and drops what the map calls malicious.  Returns the verdicts and the
+        work units spent (flows trained + flows classified).
         """
-        if len(vectors) != len(flows):
-            raise ValueError(f"{len(flows)} flows but {len(vectors)} vectors")
+        if len(predicted) != len(flows):
+            raise ValueError(f"{len(flows)} flows but {len(predicted)} labels")
         cfg = self.config
         self.flows_processed += len(flows)
         verdicts: list[Verdict] = []
         malicious_in_window = 0
-        som = self.som
-        # training moves weights but never relabels, so these are fixed for the
-        # window; continuous training in both modes, each step labeled by the
-        # map's own verdict, whose winner also serves the verdict
-        labeled = som.is_labeled
-        labels = som.labels.tolist()
-        wins = som.train_online(vectors, cfg.hyperparams, self_labeled=True)
-        work = len(wins)
-        for flow, win in zip(flows, wins):
-            predicted = labels[win] if labeled else None
-            if self.mode == PROTECTION and labeled:
+        work = len(flows)
+        for flow, label in zip(flows, predicted):
+            if self.mode == PROTECTION and label is not None:
                 work += 1
-                if predicted == MALICIOUS:
+                if label == MALICIOUS:
                     self.last_malicious_seen = now
-                verdicts.append(self._decide(flow, now, predicted))
+                verdicts.append(self._decide(flow, now, label))
             else:
                 verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN))
                 self.flows_forwarded += 1
-                if predicted == MALICIOUS:
+                if label == MALICIOUS:
                     malicious_in_window += 1
                     if malicious_in_window >= cfg.local_trigger_count:
                         self.last_malicious_seen = now

@@ -8,6 +8,12 @@ and link delays, for three filtering schemes:
   centralized  all traffic forwarded to one SOM at the controller; verdicts
                return after the round trip
 
+Before its loop, `run` trains the cell's filters: it pretrains them
+(`pretrain`), then trains them online on the whole run's traffic
+(`online_pass`), which gives the label each filter puts on each flow.
+Nothing in the loop feeds back into a map (labels are fixed online, and
+policies and modes never touch one), so the loop only reads those labels.
+
 `run` steps one loop over the windows.  The pass of window w, which closes
 at t = round((w+1)*L, 9), applies the policies that arrived by t (at t too)
 in dispatch order, steps every agent in sorted order, logs the `filters`
@@ -320,13 +326,73 @@ def _filters(cfg: ScenarioConfig, entry: dict):
     """The cell's filters from its entry's pretrained maps (see `pretrain`):
     (controller map or None, one map per agent).  Centralized agents, which
     only observe, get none.  Every cell gets copies, because agents and the
-    controller keep training their maps online."""
+    controller keep training their maps online (see `online_pass`)."""
     if cfg.scheme == SCHEME_CENTRALIZED:
         return entry["central"].copy(), [None] * len(cfg.agents)
     if cfg.scheme == SCHEME_DISTRIBUTED:
         merged = merge_maps(entry["local"])
         return None, [merged.copy() for _ in entry["local"]]
     return None, [m.copy() for m in entry["local"]]
+
+
+def online_pass(cells, cache: dict | None) -> None:
+    """Train online, in one lockstep pass (`som.train_maps`), the filters of
+    the cells, given as (cfg, its `_shared` entry) pairs of one base config,
+    whose entries lack their labels, and keep in each entry, under "online"
+    and the scheme, the label the filter gives each flow: agent id -> one
+    label list per window (None for a map with no labels).
+
+    Nothing in the event loop feeds back into online training (labels are
+    fixed online, and policies and modes never touch a map), so each map's
+    whole online path is known before its cell runs.  Each agent map learns
+    from all its windows in order, each flow labeled by its winner
+    (`Agent.ingest` reads the labels); the controller map classifies each
+    (window, agent) batch in `run`'s order first and learns from it under
+    those labels, its verdicts.  Pretrains the maps and presents the
+    traffic that the entries lack."""
+    todo = {}
+    for cfg, entry in cells:
+        if cfg.scheme not in entry.get("online", {}):
+            todo.setdefault((id(entry), cfg.scheme), (cfg, entry))
+    if not todo:
+        return
+    todo = list(todo.values())
+    # pretraining first: its training sets' flows are gone before the
+    # run-phase traffic is generated
+    pretrain(todo, cache)
+    for cfg, entry in todo:
+        if "traffic" not in entry:
+            entry["traffic"] = present_traffic(cfg)
+    # (map, its (agent id, window index, window) batches in order, whether
+    # it classifies each batch first, where its labels go)
+    jobs, outs = [], []
+    for cfg, entry in todo:
+        windows = entry["traffic"].windows
+        n_windows = int(round(cfg.duration / cfg.window_length))
+        out = {agent_id: [None] * n_windows for agent_id in windows}
+        outs.append((entry, cfg.scheme, out))
+        central_map, maps = _filters(cfg, entry)
+        if central_map is None:
+            jobs += [(m, [(a.agent_id, w, win) for w, win in enumerate(windows[a.agent_id])],
+                      False, out) for a, m in zip(cfg.agents, maps)]
+        else:
+            jobs.append((central_map, [(agent_id, w, windows[agent_id][w])
+                                       for w in range(n_windows)
+                                       for agent_id in sorted(windows)], True, out))
+    winners = som.train_maps(
+        [m for m, *_ in jobs],
+        [np.concatenate([win.vectors for *_, win in batches]) for _, batches, _, _ in jobs],
+        todo[0][0].hyperparams, self_labeled=True,
+        segments=[[len(win.flows) for *_, win in batches] if central else None
+                  for _, batches, central, _ in jobs])
+    for (m, batches, _, out), wins in zip(jobs, winners):
+        names = m.labels.tolist() if m.is_labeled else [None] * m.neuron_count
+        row = 0
+        for agent_id, w, win in batches:
+            out[agent_id][w] = [names[j] for j in wins[row:row + len(win.flows)]]
+            row += len(win.flows)
+    for entry, scheme, out in outs:
+        entry.setdefault("online", {})[scheme] = out
 
 
 # -- the event loop --------------------------------------------------------
@@ -340,19 +406,18 @@ def run(cfg: ScenarioConfig,
     """Simulate one (scheme, level, seed) cell; returns metrics and the full
     event log.  Identical configs produce identical logs.
 
-    `cache` keeps pretraining and the presented traffic across cells that
-    differ only in scheme, level and seed (the copies
-    `ScenarioConfig.for_cell` makes of one config); it never changes the
-    log.  The log is sorted on each event's canonical line,
-    `json.dumps(e, sort_keys=True)`, built here once per event by `_line`;
-    with a `cache`, run also leaves the cell's lines, in log order, in
-    `cache[_LINES]` for `run_matrix` to hash and write."""
+    `cache` keeps the presented traffic, pretraining and each scheme's
+    online labels (see `online_pass`) across cells that differ only in
+    scheme, level and seed (the copies `ScenarioConfig.for_cell` makes of
+    one config); it never changes the log.  The log is sorted on each
+    event's canonical line, `json.dumps(e, sort_keys=True)`, built here once
+    per event by `_line`; with a `cache`, run also leaves the cell's lines,
+    in log order, in `cache[_LINES]` for `run_matrix` to hash and write."""
     cfg.validate()
     events: list[dict] = []
     entry = _shared(cfg, cache)
-    if "traffic" not in entry:
-        entry["traffic"] = present_traffic(cfg)
-    traffic = entry["traffic"]
+    online_pass([(cfg, entry)], cache)
+    traffic, predicted = entry["traffic"], entry["online"][cfg.scheme]
     n_windows = int(round(cfg.duration / cfg.window_length))
     events.append({
         "kind": "run_info", "t": 0.0, "scheme": cfg.scheme,
@@ -366,12 +431,10 @@ def run(cfg: ScenarioConfig,
     for agent_id, t in traffic.first_malicious_arrival.items():
         events.append({"kind": "first_malicious_arrival", "t": t, "agent": agent_id})
 
-    pretrain([(cfg, entry)], cache)
-    central_map, maps = _filters(cfg, entry)
     # only mecshield arms filters on demand; the others count as always on
-    agents = {a.agent_id: Agent(a.agent_id, m, cfg, log=events,
+    agents = {a.agent_id: Agent(a.agent_id, cfg, log=events,
                                 filter_always_on=(cfg.scheme != SCHEME_MECSHIELD))
-              for a, m in zip(cfg.agents, maps)}
+              for a in cfg.agents}
 
     topology = {a.agent_id: (a.addr_lo, a.addr_hi) for a in cfg.agents}
     controller = Controller(topology, thresholds=cfg.detection,
@@ -408,18 +471,15 @@ def run(cfg: ScenarioConfig,
         for agent_id in agent_order:
             agent = agents[agent_id]
             agent.tick(t)
-            window = traffic.windows[agent_id][w]
-            flows = window.flows
-            if central_map is None:
-                verdicts, work = agent.ingest(flows, window.vectors, t)
+            flows, labels = traffic.windows[agent_id][w].flows, predicted[agent_id][w]
+            if cfg.scheme != SCHEME_CENTRALIZED:
+                verdicts, work = agent.ingest(flows, labels, t)
                 agent_work_by_window[w] += work
                 log_verdicts(agent_id, flows, verdicts)
             else:
                 agent.observe(flows)
                 if flows:
                     b = round(t + link, 9)
-                    labels = central_map.classify_batch(window.vectors)
-                    central_map.train_online(window.vectors, cfg.hyperparams, labels)
                     # one unit per flow classified, one per flow trained
                     controller.work_units += 2 * len(flows)
                     ctrl_work_by_window[ctrl_window(b)] += 2 * len(flows)
@@ -599,8 +659,9 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
                attack_levels: list[float], out=None):
     """Cross product of (scheme, level) runs; every scheme faces identical
     flows, and the traffic, its features and the pretraining are built once
-    per level.  Before the first cell, every cell is checked and every map
-    the cells start from is pretrained, in one lockstep pass (`pretrain`).
+    per level.  Before the first cell, every cell is checked, every level's
+    traffic is presented, and every cell's filters are pretrained and then
+    trained online, each in one lockstep pass (`pretrain`, `online_pass`).
 
     Each cell's digest hashes the canonical lines `run` built for its sort.
     With an open text stream `out`, those lines are written to it as each
@@ -618,7 +679,7 @@ def run_matrix(base_cfg: ScenarioConfig, schemes: list[str],
     cells = [base_cfg.for_cell(scheme, level) for scheme in schemes for level in attack_levels]
     for cell in cells:
         cell.validate()
-    pretrain([(cell, _shared(cell, cache)) for cell in cells], cache)
+    online_pass([(cell, _shared(cell, cache)) for cell in cells], cache)
     last_scheme = len(cells) - len(attack_levels)
     for n, cell in enumerate(cells):
         metrics, events = run(cell, cache=cache)

@@ -166,8 +166,7 @@ class SomMap:
 
     def train_online(self, vectors, hp: SomHyperParams, labels=None, *,
                      self_labeled: bool = False) -> list[int]:
-        """`train_maps` of this map alone, as the agents and the controller
-        map learn from the traffic they filter; returns each row's winner."""
+        """`train_maps` of this map alone; returns each row's winner."""
         return train_maps([self], [vectors], hp, [labels], self_labeled=self_labeled)[0]
 
     def _check_batch(self, vectors, labels) -> tuple[np.ndarray, list | None]:
@@ -240,11 +239,7 @@ class SomMap:
         if vectors.ndim != 2 or vectors.shape[1] != self.dim:
             raise ValueError(f"batch has shape {vectors.shape}, map dimension is {self.dim}")
         labels = self.labels.tolist()
-        # rows are independent, so blocks of any size keep the bits
-        return [labels[j]
-                for lo in range(0, len(vectors), CLASSIFY_BLOCK_ROWS)
-                for j in _sq_dists(vectors[lo:lo + CLASSIFY_BLOCK_ROWS],
-                                   self._wt).argmin(axis=1).tolist()]
+        return [labels[j] for j in _winners(vectors, self._wt)]
 
     # -- serialization -----------------------------------------------------
 
@@ -330,134 +325,192 @@ def init_map(width: int, height: int, dim: int, seed: int) -> SomMap:
 
 
 def train_maps(maps: list[SomMap], batches, hp: SomHyperParams, labels=None, *,
-               self_labeled: bool = False) -> list[list[int]]:
+               self_labeled: bool = False, segments=None) -> list[list[int]]:
     """The one training loop: train each map on its batch, one step per row
     in order, and return each map's winners.  A step pulls the row's winner
     and the neurons within the current lattice radius of it toward the row
     by a Gaussian neighborhood weight.
 
-    The maps share one lattice shape, dimension and epoch, so step t has
-    one learning rate and radius for all of them, and they step in
-    lockstep: one winner search and one update per step serve every map
-    whose batch has a row t, and a map leaves the stack when its rows end.
-    A map gets the bits that training it alone gives.
+    The maps share one lattice shape and dimension, and each steps from its
+    own epoch.  Maps at the same epoch step together, in lockstep: one
+    winner search and one update per epoch serve them all, at that epoch's
+    learning rate and radius.  A map gets the bits that training it alone
+    gives.
 
     `labels` holds, per map, one benign/malicious/None label per row, or
-    None (all unlabeled); with `self_labeled`, each row takes its winner's
-    neuron label (an unlabeled neuron tallies no vote), fixed for the batch
-    since training never relabels.  Every batch and its labels are checked
-    before any weight moves; the tallies are counted after the loop, which
-    never reads them."""
-    if not maps or len(batches) != len(maps):
-        raise ValueError(f"{len(maps)} maps need as many batches, got {len(batches)}")
-    if labels is None:
-        labels = [None] * len(maps)
-    elif len(labels) != len(maps):
-        raise ValueError(f"{len(maps)} maps need as many label lists, got {len(labels)}")
+    None (all unlabeled); with `self_labeled`, each row of a map without
+    segments takes its winner's neuron label (an unlabeled neuron tallies
+    no vote), fixed for the batch since training never relabels.
+    `segments` holds, per map, None or the lengths of the consecutive
+    segments its batch is cut into: such a map, which takes no labels and
+    must be labeled, classifies each segment's rows when the segment
+    starts, against its codebook as it stands then (as `classify_batch`
+    does), and tallies them under those labels (a row an unlabeled neuron
+    wins tallies no vote); the winners returned for it are those of the
+    classification, its verdicts.  Every batch, its labels and segments
+    are checked before any weight moves; the tallies are counted after the
+    loop, which never reads them."""
+    count = len(maps)
+    if not maps or len(batches) != count:
+        raise ValueError(f"{count} maps need as many batches, got {len(batches)}")
+    labels = [None] * count if labels is None else list(labels)
+    segments = [None] * count if segments is None else list(segments)
+    if len(labels) != count or len(segments) != count:
+        raise ValueError(f"{count} maps need as many label lists and segment lists, "
+                         f"got {len(labels)} and {len(segments)}")
     if self_labeled and any(lab is not None for lab in labels):
         raise ValueError("self_labeled takes no labels")
     first = maps[0]
-    shape = (first.width, first.height, first.dim, first.epoch)
     for m in maps:
-        if (m.width, m.height, m.dim, m.epoch) != shape:
-            raise ValueError(f"maps trained together share shape and epoch: "
-                             f"{m.width}x{m.height}/{m.dim} at epoch {m.epoch} vs "
-                             f"{first.width}x{first.height}/{first.dim} at epoch {first.epoch}")
-    if len({id(m) for m in maps}) != len(maps):
+        if (m.width, m.height, m.dim) != (first.width, first.height, first.dim):
+            raise ValueError(f"maps trained together share one shape: "
+                             f"{m.width}x{m.height}/{m.dim} vs "
+                             f"{first.width}x{first.height}/{first.dim}")
+    if len({id(m) for m in maps}) != count:
         raise ValueError("a map appears twice")
-    checked = [m._check_batch(x, lab) for m, x, lab in zip(maps, batches, labels)]
+    xs, labels = zip(*(m._check_batch(x, lab) for m, x, lab in zip(maps, batches, labels)))
+    begin = [m.epoch for m in maps]
+    end = [e + len(x) for e, x in zip(begin, xs)]
+    # epoch -> the (map, first row, end row) of each segment starting there
+    searches: dict[int, list] = {}
+    for i, seg in enumerate(segments):
+        if seg is None:
+            continue
+        if labels[i] is not None:
+            raise ValueError("a map trained in segments takes no labels")
+        seg = [int(n_rows) for n_rows in seg]
+        if min(seg, default=0) < 0 or sum(seg) != len(xs[i]):
+            raise ValueError(f"segments of {seg} rows do not cut a batch of {len(xs[i])}")
+        if not maps[i].is_labeled:
+            raise UnlabeledMapError("a map trained in segments classifies them, "
+                                    "but it has no labeled neurons")
+        row = 0
+        for n_rows in seg:
+            if n_rows:
+                searches.setdefault(begin[i] + row, []).append((i, row, row + n_rows))
+            row += n_rows
 
-    # the stack holds the maps longest batch first, so the maps still
-    # training at step t are its first few; x[t] holds their rows t
-    order = sorted(range(len(maps)), key=lambda i: -len(checked[i][0]))
-    lengths = [len(checked[i][0]) for i in order]
-    x = np.zeros((lengths[0], len(maps), first.dim))
-    for pos, i in enumerate(order):
-        x[:lengths[pos], pos] = checked[i][0]
-    wt = np.stack([maps[i]._wt for i in order])         # (M, dim, n)
-    wins = np.empty((lengths[0], len(maps)), dtype=np.intp)
+    wins: list[list[int]] = [[] for _ in maps]
+    verdicts = {i: [] for i, seg in enumerate(segments) if seg is not None}
+    lattice = _lattice(first.width, first.height)
+    # chunks start at each map's first epoch, at the epoch after its last,
+    # at each segment start and at each multiple of TABLE_STEPS, so the maps
+    # that step do not change within a chunk
+    points = sorted({*begin, *end, *searches})
+    for lo, hi in zip(points, points[1:]):
+        for i, r0, r1 in searches.get(lo, ()):
+            verdicts[i] += _winners(xs[i][r0:r1], maps[i]._wt)
+        active = [i for i in range(count) if begin[i] <= lo < end[i]]
+        if not active:
+            continue
+        cuts = [lo, *range((lo // TABLE_STEPS + 1) * TABLE_STEPS, hi, TABLE_STEPS), hi]
+        for a, b in zip(cuts, cuts[1:]):
+            won = _train_chunk([maps[i] for i in active],
+                               [xs[i][a - begin[i]:b - begin[i]] for i in active],
+                               range(a, b), hp, lattice)
+            for i, mine in zip(active, won):
+                wins[i] += mine
 
-    width, height = first.width, first.height
-    d2, rank = _lattice(width, height)
+    for i, (m, mine, labs) in enumerate(zip(maps, wins, labels)):
+        m.epoch += len(mine)
+        if i in verdicts:
+            names = m.labels.tolist()
+            m._tally(mine, [names[j] for j in verdicts[i]], False)
+            wins[i] = verdicts[i]
+        else:
+            m._tally(mine, labs, self_labeled)
+    return wins
+
+
+def _winners(vectors: np.ndarray, wt: np.ndarray) -> list[int]:
+    """Each row's winner in the codebook `wt`, searched in blocks of
+    CLASSIFY_BLOCK_ROWS; rows are independent, so blocks of any size keep
+    the bits."""
+    return [j for lo in range(0, len(vectors), CLASSIFY_BLOCK_ROWS)
+            for j in _sq_dists(vectors[lo:lo + CLASSIFY_BLOCK_ROWS], wt).argmin(axis=1).tolist()]
+
+
+def _train_chunk(maps: list[SomMap], rows: list[np.ndarray], epochs: range,
+                 hp: SomHyperParams, lattice) -> list[list[int]]:
+    """The steps of `epochs`, at most TABLE_STEPS of them, for maps that all
+    step at each: map k steps on rows[k], one row per epoch.  Returns each
+    map's winners."""
+    k = len(maps)
+    # a lone map steps on its own (dim, n) codebook and 1-D rows, whose
+    # smaller arrays numpy handles faster; several step on one (k, dim, n)
+    # stack of their codebooks, written back at the end
+    single = k == 1
+    if single:
+        w, vs = maps[0]._wt, rows[0]
+        stack = (w,)
+    else:
+        w, vs = np.stack([m._wt for m in maps]), np.stack(rows, axis=1)
+        stack = w
+    width, height = maps[0].width, maps[0].height
+    d2, rank = lattice
     # one memoryview per map and weight dimension: the winner-only step reads
     # and writes the winner's column as Python floats
-    dims = [[memoryview(row) for row in w] for w in wt]
+    dims = [[memoryview(row) for row in wk] for wk in stack]
     a0, lr_decay = hp.initial_learning_rate, hp.lr_decay_constant
     r0, radius_decay = hp.initial_radius, hp.radius_decay_constant
     exp = math.exp
-    # chunks of at most TABLE_STEPS steps, in which no map leaves the stack
-    ends = sorted({*lengths, *range(TABLE_STEPS, lengths[0], TABLE_STEPS)} - {0})
-    for lo, hi in zip([0, *ends], ends):
-        k = sum(n_rows >= hi for n_rows in lengths)
-        xs = x[lo:hi, :k]
-        # a lone map steps on its (dim, n) codebook and 1-D rows, whose
-        # smaller arrays numpy handles faster
-        single = k == 1
-        w, vs = (wt[0], xs[:, 0]) if single else (wt[:k], xs)
-        epochs = range(first.epoch + lo, first.epoch + hi)
-        alphas = [a0 * exp(-e / lr_decay) for e in epochs]
-        sigmas = [r0 * exp(-e / radius_decay) for e in epochs]
-        # lattice distances are whole numbers, so below sigma^2 = 1 the
-        # neighborhood is the winner alone, at weight exp(-0) = 1 (also once
-        # sigma^2 underflows to 0, where exp(-0/0) would be NaN)
-        wide = [t for t, sigma in enumerate(sigmas) if sigma * sigma >= 1.0]
-        # per step: None for a winner-only step, else its coefficients by
-        # distinct d2 and the lattice rows its radius reaches either side
-        updates = [None] * (hi - lo)
-        if wide:
-            # alpha * exp(-d2 / (2 sigma^2)) per wide step and distinct d2:
-            # the learning rate times the Gaussian neighborhood weight,
-            # exactly 0 beyond the radius, so only the distances within the
-            # chunk's widest radius are computed
-            sigma = np.array([sigmas[t] for t in wide])
-            s2 = sigma * sigma
-            near = d2[:d2.searchsorted(s2.max(), "right")]
-            coef = np.zeros((len(wide), len(d2)))
-            within = coef[:, :len(near)]
-            np.multiply(np.exp(-near / (2.0 * sigma * sigma)[:, None]),
-                        np.array([alphas[t] for t in wide])[:, None], out=within)
-            within[near > s2[:, None]] = 0.0
-            for t, c in zip(wide, coef):
-                updates[t] = c, math.isqrt(int(min(sigmas[t] * sigmas[t], height * height)))
-        ys = xs.tolist() if len(wide) < len(updates) else itertools.repeat(None)
-        won = []
-        for v, y, update, alpha in zip(vs, ys, updates, alphas):
-            win = _sq_dists(v, w).argmin(-1)
-            js = [int(win)] if single else win.tolist()
-            won += js
-            if update is None:
-                # IEEE sub/mul/add and a clamp on Python floats: the bits of
-                # the update below at weight 1
-                for cols, yv, j in zip(dims, y, js):
-                    for col, yd in zip(cols, yv):
-                        wj = col[j]
-                        wj += alpha * (yd - wj)
-                        col[j] = 0.0 if wj < 0.0 else 1.0 if wj > 1.0 else wj
-            else:
-                # convex moves, w + (alpha*h)*(v - w) within the radius and
-                # w + 0*(v - w) == w beyond it (v - w is finite and no weight
-                # is -0.0), over the lattice rows the radius reaches from
-                # any winner; the clamps to [0,1] only guard against
-                # ulp-level overshoot, and the weights that do not move
-                # already lie there
-                c, reach = update
-                c0 = max(0, min(js) // width - reach) * width
-                c1 = min(height, max(js) // width + reach + 1) * width
-                band = w[..., c0:c1]
-                move = v[..., None] - band
-                move *= c.take(rank[win, c0:c1])[..., None, :]
-                band += move
-                band.clip(0.0, 1.0, out=band)
-        wins[lo:hi, :k] = np.reshape(won, (hi - lo, k))
-
-    out = [None] * len(maps)
-    for pos, i in enumerate(order):
-        maps[i]._wt[...] = wt[pos]
-        out[i] = wins[:lengths[pos], pos].tolist()
-    for m, mine, (_, labs) in zip(maps, out, checked):
-        m.epoch += len(mine)
-        m._tally(mine, labs, self_labeled)
-    return out
+    alphas = [a0 * exp(-e / lr_decay) for e in epochs]
+    sigmas = [r0 * exp(-e / radius_decay) for e in epochs]
+    # lattice distances are whole numbers, so below sigma^2 = 1 the
+    # neighborhood is the winner alone, at weight exp(-0) = 1 (also once
+    # sigma^2 underflows to 0, where exp(-0/0) would be NaN)
+    wide = [t for t, sigma in enumerate(sigmas) if sigma * sigma >= 1.0]
+    # per step: None for a winner-only step, else its coefficients by
+    # distinct d2 and the lattice rows its radius reaches either side
+    updates = [None] * len(epochs)
+    if wide:
+        # alpha * exp(-d2 / (2 sigma^2)) per wide step and distinct d2: the
+        # learning rate times the Gaussian neighborhood weight, exactly 0
+        # beyond the radius, so only the distances within the chunk's widest
+        # radius are computed
+        sigma = np.array([sigmas[t] for t in wide])
+        s2 = sigma * sigma
+        near = d2[:d2.searchsorted(s2.max(), "right")]
+        coef = np.zeros((len(wide), len(d2)))
+        within = coef[:, :len(near)]
+        np.multiply(np.exp(-near / (2.0 * sigma * sigma)[:, None]),
+                    np.array([alphas[t] for t in wide])[:, None], out=within)
+        within[near > s2[:, None]] = 0.0
+        for t, c in zip(wide, coef):
+            updates[t] = c, math.isqrt(int(min(sigmas[t] * sigmas[t], height * height)))
+    ys = ((vs[:, None] if single else vs).tolist() if len(wide) < len(updates)
+          else itertools.repeat(None))
+    won = []
+    for v, y, update, alpha in zip(vs, ys, updates, alphas):
+        win = _sq_dists(v, w).argmin(-1)
+        js = [int(win)] if single else win.tolist()
+        won += js
+        if update is None:
+            # IEEE sub/mul/add and a clamp on Python floats: the bits of the
+            # update below at weight 1
+            for cols, yv, j in zip(dims, y, js):
+                for col, yd in zip(cols, yv):
+                    wj = col[j]
+                    wj += alpha * (yd - wj)
+                    col[j] = 0.0 if wj < 0.0 else 1.0 if wj > 1.0 else wj
+        else:
+            # convex moves, w + (alpha*h)*(v - w) within the radius and
+            # w + 0*(v - w) == w beyond it (v - w is finite and no weight is
+            # -0.0), over the lattice rows the radius reaches from any
+            # winner; the clamps to [0,1] only guard against ulp-level
+            # overshoot, and the weights that do not move already lie there
+            c, reach = update
+            c0 = max(0, min(js) // width - reach) * width
+            c1 = min(height, max(js) // width + reach + 1) * width
+            band = w[..., c0:c1]
+            move = v[..., None] - band
+            move *= c.take(rank[win, c0:c1])[..., None, :]
+            band += move
+            band.clip(0.0, 1.0, out=band)
+    if not single:
+        for m, wk in zip(maps, w):
+            m._wt[...] = wk
+    return [won[pos::k] for pos in range(k)]
 
 
 def merge_maps(maps: list[SomMap]) -> SomMap:

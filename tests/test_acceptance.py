@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mecshield.agent import Agent, AgentConfig, FORWARD, NORMAL, PROTECTION
+from mecshield.agent import AgentConfig, FORWARD, NORMAL, PROTECTION
 from mecshield.cli import main
 from mecshield.config import reference_config
 from mecshield.harness import run
@@ -25,7 +25,7 @@ from mecshield.som import (BENIGN, MALICIOUS, SomHyperParams, SomMap,
                            init_map)
 from mecshield.traffic import (AMPLIFICATION, AttackProfile, FlowRecord,
                                gen_attack, load_flow_csv)
-from test_agent import ingest
+from test_agent import MapAgent, ingest
 
 DATA = Path(__file__).parent / "data"
 LEVELS = [50.0, 100.0, 200.0, 300.0]
@@ -229,10 +229,9 @@ def _fuzz_agent(seed):
     m.malicious_wins[:] = [0, 10]
     m.hit_counts[:] = [10, 10]
     cfg = AgentConfig(window_length=5.0, quiet_period=30.0,
-                      local_trigger_count=5,
-                      hyperparams=SomHyperParams(initial_learning_rate=0.01,
-                                                 initial_radius=0.5))
-    return Agent(f"fz{seed}", m, cfg)
+                      local_trigger_count=5)
+    return MapAgent(f"fz{seed}", m, cfg,
+                    hp=SomHyperParams(initial_learning_rate=0.01, initial_radius=0.5))
 
 
 def test_criterion_10_state_machine_safety():

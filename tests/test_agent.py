@@ -37,21 +37,39 @@ def malicious_flow(i, t, src=200, pkts=5, dst=2):
                       packet_timestamps=ts, truth_label="malicious")
 
 
+# the schedule the test agents' maps learn on: a radius below 1, so each
+# step moves the winner alone
+HP = SomHyperParams(initial_learning_rate=0.01, initial_radius=0.5)
+
+
+class MapAgent(Agent):
+    """An agent with the map it filters with, which a run keeps apart (in
+    `harness.online_pass`): `predicted` trains the map on a window's vectors
+    as a run does, and gives the labels `ingest` reads."""
+
+    def __init__(self, agent_id, som, config=None, hp=HP, **kw):
+        super().__init__(agent_id, config, **kw)
+        self.som, self.hp = som, hp
+
+    def predicted(self, vectors) -> list:
+        labels = self.som.labels.tolist() if self.som.is_labeled else None
+        wins = self.som.train_online(vectors, self.hp, self_labeled=True)
+        return [labels[j] if labels else None for j in wins]
+
+
 def fresh_agent(**kw):
     cfg = AgentConfig(window_length=5.0, quiet_period=30.0,
-                      local_trigger_count=5,
-                      hyperparams=SomHyperParams(initial_learning_rate=0.01,
-                                                 initial_radius=0.5))
-    return Agent("a1", labeled_map(), cfg, **kw)
+                      local_trigger_count=5)
+    return MapAgent("a1", labeled_map(), cfg, **kw)
 
 
 def ingest(a, flows, now):
-    """`a.ingest` given the vectors a run gives it: the flows extracted over
-    the window that closes at `now`."""
+    """`a.ingest` given the labels a run gives it: its map's, trained on the
+    flows extracted over the window that closes at `now`."""
     L = a.config.window_length
     vectors = extract(flows, a.config.feature_mode, NormalizationSpec(),
                       window_stats(flows, now - L, L))
-    return a.ingest(flows, vectors, now)
+    return a.ingest(flows, a.predicted(vectors), now)
 
 
 def make_policy(pid="pol-1", role=ROLE_SOURCE, agent="a1", issued=0.0,
@@ -71,11 +89,11 @@ def test_normal_mode_forwards_everything():
     assert a.flows_forwarded == 4
 
 
-def test_ingest_takes_one_vector_per_flow():
+def test_ingest_takes_one_label_per_flow():
     a = fresh_agent()
     flows = [benign_flow(0, 1.0), benign_flow(1, 1.5)]
-    with pytest.raises(ValueError, match="2 flows but 1 vectors"):
-        a.ingest(flows, np.zeros((1, 5)), 5.0)
+    with pytest.raises(ValueError, match="2 flows but 1 labels"):
+        a.ingest(flows, [BENIGN], 5.0)
 
 
 def test_training_continues_in_normal_mode():
@@ -168,7 +186,7 @@ def test_active_policy_overrides_quiet_period():
 
 
 def test_filter_always_on_never_deactivates():
-    a = Agent("a1", labeled_map(), AgentConfig(), filter_always_on=True)
+    a = Agent("a1", AgentConfig(), filter_always_on=True)
     assert a.mode == PROTECTION
     a.tick(10000.0)
     assert a.mode == PROTECTION

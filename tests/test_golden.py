@@ -153,12 +153,16 @@ def test_scenario_digests_are_pinned(name):
             assert len(classified) == 9
             assert min(classified) > 30.07
         if name == "udp-monitor":
-            # the cameras' flows name no attack and draw no policy;
-            # only the sensor-side flood is detected, and no flow is blocked
+            # the cameras' flows name no attack and draw no policy; only the
+            # sensor-side flood is detected, and every classified flow is
+            # forwarded as benign or dropped as malicious, by the map or
+            # under a policy
             assert {e["method"] for e in events
                     if e["kind"] == "attack_detected"} == {"syn_flood"}
             assert not any(e["kind"] == "policy" and e["agent"] == "monitor-net"
                            for e in events)
-            assert not any(e["kind"] == "classify" and e["decision"] == "block"
-                           for e in events)
+            decided = {(e["decision"], e["reason"]) for e in events
+                       if e["kind"] == "classify"}
+            assert decided and decided <= {("forward", "benign"), ("drop", "som_malicious"),
+                                           ("drop", "policy_drop")}
     assert got == GOLDEN_SCENARIOS[name]

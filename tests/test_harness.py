@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mecshield import harness
+from mecshield import harness, som
 from mecshield.config import SCHEMES, parse_config, reference_config, reference_config_dict
 from mecshield.controller import Controller
 from mecshield.errors import ConfigError
@@ -24,6 +24,7 @@ from mecshield.harness import (MAP_SEED, build_training_set, compute_metrics, co
                                derive_seed, event_log_digest, flows_to_samples,
                                generate_traffic, metrics_row, present_traffic,
                                METRIC_COLUMNS, run, run_matrix)
+from mecshield.som import BENIGN, MALICIOUS
 from mecshield.traffic import (ALARM, LABEL_MALICIOUS, MONITOR, SENSOR, AttackProfile,
                                BenignProfile, gen_attack, gen_benign)
 
@@ -468,9 +469,9 @@ def test_lines_of_a_run_with_a_quoted_non_ascii_agent_id():
 
 
 def test_run_matrix_drops_each_level_after_its_last_scheme(monkeypatch):
-    # every level's maps are pretrained before the first cell, a level's
-    # traffic is presented at its first cell, and a level is dropped after
-    # its last scheme's cell
+    # every level's traffic is presented, and every cell's maps pretrained
+    # and trained online, before the first cell, and a level is dropped
+    # after its last scheme's cell
     cfg = tiny_cfg()
     levels = [50.0, 100.0]
     seen = []
@@ -478,18 +479,19 @@ def test_run_matrix_drops_each_level_after_its_last_scheme(monkeypatch):
 
     def recording(c, cache=None):
         seen.append(((c.scheme, c.attack_level),
-                     {k: set(v) for k, v in cache.items() if isinstance(k[1], float)}))
+                     {k: (set(v), set(v["online"])) for k, v in cache.items()
+                      if isinstance(k[1], float)}))
         return real_run(c, cache=cache)
 
     monkeypatch.setattr(harness, "run", recording)
     rows, _ = run_matrix(cfg, ["mecshield", "centralized"], levels)
     s = cfg.seed
-    maps = {"training", "local", "central"}
-    presented = maps | {"traffic"}
-    assert seen == [(("mecshield", 50.0), {(s, 50.0): maps, (s, 100.0): maps}),
-                    (("mecshield", 100.0), {(s, 50.0): presented, (s, 100.0): maps}),
-                    (("centralized", 50.0), {(s, 50.0): presented, (s, 100.0): presented}),
-                    (("centralized", 100.0), {(s, 100.0): presented})]
+    level = ({"training", "local", "central", "traffic", "online"},
+             {"mecshield", "centralized"})
+    assert seen == [(("mecshield", 50.0), {(s, 50.0): level, (s, 100.0): level}),
+                    (("mecshield", 100.0), {(s, 50.0): level, (s, 100.0): level}),
+                    (("centralized", 50.0), {(s, 50.0): level, (s, 100.0): level}),
+                    (("centralized", 100.0), {(s, 100.0): level})]
     monkeypatch.setattr(harness, "run", real_run)
     assert rows == run_matrix(cfg, ["mecshield", "centralized"], levels)[0]
 
@@ -541,6 +543,47 @@ def test_pretraining_pass_gives_each_map_train_map_alone(monkeypatch):
             assert entry["central"].to_dict() == harness.train_map(c, *pooled).to_dict()
             checked += 1
     assert checked == 2 * 4 + 3 + 3 + 1
+
+
+def test_run_matrix_trains_every_filter_online_in_one_pass(monkeypatch):
+    # a two-level run matrix trains every cell's filters online in one
+    # `som.train_maps` call before its first cell (after the pretraining
+    # call), and each cell gets, for each agent and window, the labels a run
+    # without a cache computes for it alone
+    cfg = tiny_cfg()
+    levels = [100.0, 300.0]
+    calls, entries = [], []
+    real_train, real_pass = som.train_maps, harness.online_pass
+
+    def counting(maps, batches, hp, labels=None, **kw):
+        calls.append((len(maps), kw.get("self_labeled", False)))
+        return real_train(maps, batches, hp, labels, **kw)
+
+    def recording(cells, cache):
+        entries.extend(cells)
+        return real_pass(cells, cache)
+
+    monkeypatch.setattr(som, "train_maps", counting)
+    monkeypatch.setattr(harness, "online_pass", recording)
+    run_matrix(cfg, list(SCHEMES), levels)
+    # per level: 3 local maps and 1 central map pretrained; 3 agent maps
+    # each for mecshield and distributed and 1 controller map online
+    assert calls == [(2 * 4, False), (2 * 7, True)]
+    matrix = {(c.scheme, c.attack_level): e["online"][c.scheme] for c, e in entries}
+    assert len(matrix) == len(SCHEMES) * len(levels)
+    for (scheme, level), labels in matrix.items():
+        entries.clear()
+        calls.clear()
+        run(cfg.for_cell(scheme, level))
+        maps = 1 if scheme == "centralized" else 3
+        assert calls == [(maps, False), (maps, True)]
+        (c, entry), = entries
+        assert entry["online"] == {scheme: labels}
+        windows = entry["traffic"].windows
+        assert {a: [len(x) for x in by_window] for a, by_window in labels.items()} == \
+            {a: [len(win.flows) for win in wins] for a, wins in windows.items()}
+        assert {lab for by_window in labels.values() for x in by_window for lab in x} \
+            <= {BENIGN, MALICIOUS}
 
 
 def test_metrics_row_columns():

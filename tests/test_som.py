@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mecshield import som
-from mecshield.agent import (Agent, AgentConfig, FORWARD, NORMAL, PROTECTION,
+from mecshield.agent import (AgentConfig, FORWARD, NORMAL, PROTECTION,
                              R_BENIGN, Verdict)
 from mecshield.config import reference_config
 from mecshield.harness import build_training_set, train_map
@@ -17,6 +17,7 @@ from mecshield.som import (BENIGN, MALICIOUS, UNLABELED, SomHyperParams,
                            SomMap, UnlabeledMapError, _lattice, _sq_dists,
                            init_map, merge_maps)
 from mecshield.traffic import FlowRecord
+from test_agent import MapAgent
 
 
 def brute_force_winner(m, v):
@@ -552,18 +553,28 @@ def test_train_step_matches_reference_on_large_and_oblong_lattices(shape, dim, s
 def _draw_schedule(m, data, max_radius) -> SomHyperParams:
     """Hyperparameters, and an epoch for m on either side of sigma^2 = 1 or
     past the epoch where sigma^2 underflows to 0."""
-    hp = SomHyperParams(initial_learning_rate=data.draw(st.floats(1e-3, 1.0)),
-                        initial_radius=data.draw(st.floats(0.1, max_radius)),
-                        lr_decay_constant=data.draw(st.floats(100.0, 1e4)),
-                        radius_decay_constant=data.draw(st.floats(100.0, 1e4)))
+    hp = _draw_hp(data, max_radius)
+    m.epoch = _draw_epoch(hp, data)
+    return hp
+
+
+def _draw_hp(data, max_radius) -> SomHyperParams:
+    return SomHyperParams(initial_learning_rate=data.draw(st.floats(1e-3, 1.0)),
+                          initial_radius=data.draw(st.floats(0.1, max_radius)),
+                          lr_decay_constant=data.draw(st.floats(100.0, 1e4)),
+                          radius_decay_constant=data.draw(st.floats(100.0, 1e4)))
+
+
+def _draw_epoch(hp, data) -> int:
+    """An epoch on either side of sigma^2 = 1 under hp, or past the epoch
+    where sigma^2 underflows to 0."""
     c, log_r = hp.radius_decay_constant, math.log(hp.initial_radius)
     at_one = max(0, int(c * log_r))                 # sigma^2 crosses 1 here
     underflow = int(c * (log_r + 373.0)) + 1        # sigma^2 is 0 from here on
-    m.epoch = data.draw(st.one_of(st.integers(0, at_one + 5),
-                                  st.integers(max(0, at_one - 3), at_one + 3),
-                                  st.integers(at_one, underflow),
-                                  st.integers(underflow, underflow + 10**6)))
-    return hp
+    return data.draw(st.one_of(st.integers(0, at_one + 5),
+                               st.integers(max(0, at_one - 3), at_one + 3),
+                               st.integers(at_one, underflow),
+                               st.integers(underflow, underflow + 10**6)))
 
 
 def _assert_steps_match_reference(m, data, max_radius):
@@ -687,21 +698,115 @@ def test_stacked_maps_match_each_map_trained_alone(shape, dim, count, table_step
         assert _state(m) == _state(ref)
 
 
-def test_stacked_maps_share_shape_and_epoch():
+def test_stacked_maps_share_shape():
     hp = SomHyperParams()
     a, b = init_map(4, 4, 3, seed=0), init_map(4, 4, 3, seed=1)
     x = np.full((2, 3), 0.5)
     for other, match in ((init_map(4, 5, 3, seed=1), "shape"), (init_map(4, 4, 2, seed=1), "shape")):
         with pytest.raises(ValueError, match=match):
             som.train_maps([a, other], [x, x[:, :other.dim]], hp)
-    b.epoch = 1
-    with pytest.raises(ValueError, match="epoch"):
-        som.train_maps([a, b], [x, x], hp)
     with pytest.raises(ValueError, match="twice"):
         som.train_maps([a, a], [x, x], hp)
     with pytest.raises(ValueError, match="batches"):
         som.train_maps([a], [x, x], hp)
+    # segments cut the whole batch, of a labeled map given no labels
+    b.labels[:] = BENIGN
+    for segments, labels, match in (([1], None, "cut"), ([3, -1], None, "cut"),
+                                    ([2], [BENIGN, BENIGN], "no labels")):
+        with pytest.raises(ValueError, match=match):
+            som.train_maps([a, b], [x, x], hp, [None, labels], segments=[None, segments])
+    with pytest.raises(UnlabeledMapError):
+        som.train_maps([a, b], [x, x], hp, segments=[[2], None])
     assert a.epoch == 0 and not a.hit_counts.any()
+    # maps at different epochs train together
+    b.epoch = 1
+    assert len(som.train_maps([a, b], [x, x], hp, segments=[None, [1, 1]])[1]) == 2
+    assert (a.epoch, b.epoch) == (2, 3)
+
+
+def _draw_cuts(data, rows) -> list[int]:
+    """The lengths of consecutive windows that cut `rows` rows, some empty."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=4)))
+    return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, rows])]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([(20, 20), (7, 3), (3, 7), (1, 1)]), st.integers(1, 5),
+       st.integers(1, 4), st.sampled_from([1, 3, som.TABLE_STEPS]), st.data())
+def test_lockstep_maps_match_each_map_trained_window_by_window(shape, dim, count,
+                                                               table_steps, data):
+    # 1-4 maps trained in one call from their own epochs, on either side of
+    # sigma^2 = 1 or past its underflow, some near an earlier map's so that
+    # maps step together part of the way; labeled, unlabeled or
+    # self-labeled, and some in segments (empty ones among them), each
+    # classified first.  Each map's winners (a segmented map's: its
+    # verdicts) and its weights, tallies and epoch are those of training it
+    # alone window by window: `classify_batch` and then single-row
+    # reference steps under its labels per segment, or the reference steps
+    # per window; a short coefficient table makes the steps cross chunks
+    width, height = shape
+    n = width * height
+    hp = _draw_hp(data, max_radius=30.0)
+    kind = data.draw(st.sampled_from(["labeled", "unlabeled", "self"]))
+    maps, batches, labels, segments, want, refs = [], [], [], [], [], []
+    for k in range(count):
+        m = init_map(width, height, dim, seed=data.draw(st.integers(0, 2**32 - 1)))
+        m.labels[:] = data.draw(st.lists(st.sampled_from([BENIGN, MALICIOUS, UNLABELED]),
+                                         min_size=n, max_size=n))
+        if k and data.draw(st.booleans()):
+            m.epoch = max(0, maps[data.draw(st.integers(0, k - 1))].epoch
+                          + data.draw(st.integers(-12, 12)))
+        else:
+            m.epoch = _draw_epoch(hp, data)
+        x = _draw_batch(m, data)
+        segmented = data.draw(st.booleans())
+        labs = None if segmented else _draw_labels(data, kind, len(x))
+        if segmented and not m.is_labeled:
+            m.labels[0] = MALICIOUS
+        windows = _draw_cuts(data, len(x))
+        ref, wins, lo = m.copy(), [], 0
+        for n_rows in windows:
+            xw = x[lo:lo + n_rows]
+            if segmented:
+                verdicts = [None if lab == UNLABELED else lab for lab in ref.classify_batch(xw)]
+                wins += [ref.find_winner(v) for v in xw]
+                ref, _ = _reference_steps(ref, xw, hp, verdicts, "labeled")
+            else:
+                ref, mine = _reference_steps(ref, xw, hp, labs and labs[lo:lo + n_rows], kind)
+                wins += mine
+            lo += n_rows
+        maps.append(m)
+        batches.append(x)
+        labels.append(labs)
+        segments.append(windows if segmented else None)
+        want.append(wins)
+        refs.append(ref)
+    table = som.TABLE_STEPS
+    som.TABLE_STEPS = table_steps
+    try:
+        got = som.train_maps(maps, batches, hp, labels if kind == "labeled" else None,
+                             self_labeled=(kind == "self"), segments=segments)
+    finally:
+        som.TABLE_STEPS = table
+    assert got == want
+    for m, ref in zip(maps, refs):
+        assert _state(m) == _state(ref)
+
+
+def test_segment_is_classified_against_its_codebook_at_its_start(monkeypatch):
+    # one step would move the winners of the segment's later rows, and the
+    # segment spans three one-step chunks: every row's verdict must still
+    # read the codebook as it stood when the segment started
+    hp = SomHyperParams(initial_learning_rate=1.0, initial_radius=10.0)
+    m = init_map(3, 3, 2, seed=0)
+    m.labels[:] = [BENIGN, MALICIOUS] * 4 + [BENIGN]
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [0.9, 0.1]])
+    want = [m.find_winner(v) for v in x]
+    moved = m.copy()
+    moved.train_online(x[:1], hp)
+    assert [moved.find_winner(v) for v in x[1:]] != want[1:]
+    monkeypatch.setattr(som, "TABLE_STEPS", 1)
+    assert som.train_maps([m], [x], hp, segments=[[3]]) == [want]
 
 
 def test_maps_hold_no_negative_zero_weight():
@@ -753,8 +858,9 @@ def test_bad_last_row_rejects_the_batch_before_any_step(bad, epoch):
 
 
 def _ingest_one_flow_at_a_time(a, flows, vectors, now):
-    """`Agent.ingest` as a per-flow loop: each flow's winner search, its
-    verdict, then one `train_step` labeled by the map's own verdict."""
+    """`Agent.ingest`, fed its map's labels, as a per-flow loop: each flow's
+    winner search, its verdict, then one `train_step` labeled by the map's
+    own verdict."""
     som, cfg = a.som, a.config
     a.flows_processed += len(flows)
     verdicts, work, malicious_in_window = [], 0, 0
@@ -770,7 +876,7 @@ def _ingest_one_flow_at_a_time(a, flows, vectors, now):
         else:
             verdicts.append(Verdict(flow.flow_id, FORWARD, now, R_BENIGN))
             a.flows_forwarded += 1
-        assert som.train_step(vec, cfg.hyperparams, label=predicted) == win
+        assert som.train_step(vec, a.hp, label=predicted) == win
         work += 1
         if a.mode == NORMAL and predicted == MALICIOUS:
             malicious_in_window += 1
@@ -786,10 +892,9 @@ def _ingest_one_flow_at_a_time(a, flows, vectors, now):
 def test_ingest_matches_per_flow_reference_loop(m, data):
     hp = _draw_schedule(m, data, max_radius=8.0)
     cfg = AgentConfig(local_trigger_count=data.draw(st.integers(1, 4)),
-                      quiet_period=data.draw(st.sampled_from([0.0, 30.0])),
-                      hyperparams=hp)
+                      quiet_period=data.draw(st.sampled_from([0.0, 30.0])))
     always_on = data.draw(st.booleans())
-    agents = [Agent("a1", som, cfg, filter_always_on=always_on)
+    agents = [MapAgent("a1", som, cfg, hp=hp, filter_always_on=always_on)
               for som in (m, m.copy())]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for w in range(data.draw(st.integers(1, 4))):
@@ -799,7 +904,7 @@ def test_ingest_matches_per_flow_reference_loop(m, data):
         vectors = rng.uniform(-0.1, 1.1, size=(len(flows), m.dim))
         for a in agents:
             a.tick(now)
-        got = agents[0].ingest(flows, vectors, now)
+        got = agents[0].ingest(flows, agents[0].predicted(vectors), now)
         assert got == _ingest_one_flow_at_a_time(agents[1], flows, vectors, now)
         got_agent, ref_agent = agents
         for attr in ("mode", "last_malicious_seen", "flows_processed",
