@@ -103,19 +103,23 @@ class ScenarioConfig(AgentConfig):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"schemes: unknown scheme {self.scheme!r}, "
                               f"expected one of {SCHEMES}")
-        if not 0 < self.attack_level < math.inf:
-            raise ConfigError(f"attack_levels: attack_level must be positive and finite, "
+        # a parsed config holds finite floats only (see `_value`); this
+        # covers one built or edited in code
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if not self.attack_level > 0:
+            raise ConfigError(f"attack_levels: attack_level must be positive, "
                               f"got {self.attack_level!r}")
         if not self.agents:
             raise ConfigError("scenario.agents must list at least one agent")
         for name in ("duration", "window_length"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)!r}")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
         for name in ("link_delay", "analysis_delay"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be nonnegative and finite, "
-                                  f"got {getattr(self, name)!r}")
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not self.policy_ttl > 0:
             raise ConfigError(f"policy_ttl must be positive, got {self.policy_ttl!r}")
         windows = self.duration / self.window_length
@@ -286,7 +290,7 @@ def _read(data, entries: list, hints: dict, where: str, kwargs: dict) -> None:
 def _value(value, tp, where: str, **given):
     """`value` checked against the declared type `tp`.  An integer passes as
     a float and is read as one, so a float field is logged and echoed alike
-    however it is written."""
+    however it is written; a float must be finite."""
     if type(None) in typing.get_args(tp):      # X | None
         if value is None:
             return None
@@ -306,9 +310,11 @@ def _value(value, tp, where: str, **given):
             (tp is bool or not isinstance(value, bool)):
         if tp is float:
             try:
-                return float(value)
+                value = float(value)
             except OverflowError:
                 raise ConfigError(f"{where}: integer too large for a float") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}: must be finite, got {value!r}")
         return value
     raise ConfigError(f"{where}: must be {tp.__name__}, got {value!r}")
 

@@ -45,7 +45,7 @@ from .errors import ConfigError
 from .features import FeatureMode, MODE_DIM, NormalizationSpec, extract, window_stats
 from . import som
 from .som import BENIGN, MALICIOUS, SomMap, init_map, merge_maps
-from .traffic import FlowRecord, LABEL_MALICIOUS, gen_attack, gen_benign
+from .traffic import FlowRecord, LABEL_MALICIOUS, gen_attack, gen_benign, window_indices
 
 
 def derive_seed(root: int, *tags) -> list[int]:
@@ -115,8 +115,8 @@ def _window_buckets(flows: list[FlowRecord],
                     window_length: float) -> dict[int, list[FlowRecord]]:
     """The flows grouped by the index of the window they start in."""
     buckets: dict[int, list[FlowRecord]] = {}
-    for f in flows:
-        buckets.setdefault(int(f.start_time // window_length), []).append(f)
+    for f, w in zip(flows, window_indices([f.start_time for f in flows], window_length)):
+        buckets.setdefault(w, []).append(f)
     return buckets
 
 
@@ -143,24 +143,39 @@ class PresentedTraffic:
     first_malicious_arrival: dict[str, float]   # agent id -> earliest malicious start
 
 
+# `present_traffic` featurizes an agent's windows in groups of at least this
+# many flows (or the last windows), one matrix each: one matrix per agent
+# raised long-flood's peak RSS by about 1 MiB
+PRESENT_GROUP_FLOWS = 512
+
+
 def present_traffic(cfg: ScenarioConfig) -> PresentedTraffic:
     """`generate_traffic`'s flows, windowed and featurized once for every
-    scheme: window w is extracted over [now - L, now), the window
-    `Agent.ingest` reads at now = window_close(w, L), which need not start
-    at w*L in floats."""
+    scheme, one `extract` pass per group of an agent's windows: window w is
+    extracted over [now - L, now), the window `Agent.ingest` reads at now =
+    window_close(w, L), which need not start at w*L in floats."""
     flows_by_agent = generate_traffic(cfg)
     L = cfg.window_length
     n_windows = int(round(cfg.duration / L))
     windows = {}
     for agent_id, flows in flows_by_agent.items():
         buckets = _window_buckets(flows, L)
-        windows[agent_id] = []
+        windows[agent_id] = presented = []
+        group, size = [], 0             # windows not yet featurized, their flows
         for w in range(n_windows):
             batch = buckets.get(w, [])
-            stats = window_stats(batch, window_close(w, L) - L, L)
-            vectors = extract(batch, cfg.feature_mode, cfg.norm_spec, stats)
+            group.append((batch, window_stats(batch, window_close(w, L) - L, L)))
+            size += len(batch)
+            if size < PRESENT_GROUP_FLOWS and w + 1 < n_windows:
+                continue
+            vectors = extract([f for b, _ in group for f in b], cfg.feature_mode,
+                              cfg.norm_spec, [s for b, s in group for _ in b])
             vectors.flags.writeable = False
-            windows[agent_id].append(Window(batch, vectors))
+            row = 0
+            for b, _ in group:
+                presented.append(Window(b, vectors[row:row + len(b)]))
+                row += len(b)
+            group, size = [], 0
     first_mal = {}
     for agent_id in sorted(flows_by_agent):
         mal = [f.start_time for f in flows_by_agent[agent_id]
@@ -177,21 +192,21 @@ def flows_to_samples(flows: list[FlowRecord], mode: FeatureMode,
                      spec: NormalizationSpec, window_length: float,
                      count: int | None = None):
     """Window the flows and extract one labeled vector per flow, in window
-    order; with a `count`, only the first `count` of them.  A window's
-    statistics cover all its flows and each vector reads one flow, so
-    extraction stops at the `count`-th flow, inside the last window read."""
-    vectors, labels = [], []
+    order, in one `extract` pass; with a `count`, only the first `count` of
+    them.  A window's statistics cover all its flows and each vector reads
+    one flow, so extraction stops at the `count`-th flow, inside the last
+    window read."""
+    taken, stats = [], []
     for w, batch in sorted(_window_buckets(flows, window_length).items()):
-        if count is not None and len(vectors) >= count:
+        if count is not None and len(taken) >= count:
             break
-        stats = window_stats(batch, w * window_length, window_length)
+        s = window_stats(batch, w * window_length, window_length)
         if count is not None:
-            batch = batch[:count - len(vectors)]
-        vecs = extract(batch, mode, spec, stats)
-        for v, f in zip(vecs, batch):
-            vectors.append(v)
-            labels.append(MALICIOUS if f.truth_label == LABEL_MALICIOUS else BENIGN)
-    return vectors, labels
+            batch = batch[:count - len(taken)]
+        taken += batch
+        stats += [s] * len(batch)
+    labels = [MALICIOUS if f.truth_label == LABEL_MALICIOUS else BENIGN for f in taken]
+    return list(extract(taken, mode, spec, stats)), labels
 
 
 def build_training_set(cfg: ScenarioConfig, agent: AgentSpec, cache: dict | None = None):

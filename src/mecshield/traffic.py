@@ -201,18 +201,25 @@ class AttackProfile:
         return self.bot_count * self.session_rate()
 
 
+def window_indices(starts, length: float) -> list[int]:
+    """The index of the window of the given length that each start time
+    lies in.  It alone says which window a flow is in, for `_to_build` and
+    for `harness`, whose training sets the windowed build must reproduce."""
+    return [int(s // length) for s in starts]
+
+
 def _to_build(starts: list[float],
               windows: tuple[float, int] | None) -> range | list[int]:
     """The generation indices, in order, of the drawn flows that a generator
     builds, flow k starting at starts[k]: every flow, or with
     windows=(L, count) those in the leading windows that hold the first
-    `count` flows in window order.  Flow k lies in window int(starts[k] // L),
-    as `harness.flows_to_samples` groups flows, so these are the windows that
+    `count` flows in window order.  Flows are windowed by `window_indices`,
+    as `harness.flows_to_samples` windows them, so these are the windows that
     `flows_to_samples(..., count=count)` reads, each whole and in order."""
     if windows is None:
         return range(len(starts))
     length, count = windows
-    index = [int(s // length) for s in starts]
+    index = window_indices(starts, length)
     sizes = Counter(index)
     held, last = 0, -float("inf")
     for w in sorted(sizes):

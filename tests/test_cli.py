@@ -175,6 +175,14 @@ def test_config_error_exit_code(tmp_path, capsys):
                          (("scenario", "attack_level"), nan),
                          (("attack_levels",), [inf]),
                          (("attack_levels",), [100, nan]),
+                         *[(where, v) for v in (nan, inf) for where in [
+                             ("scenario", "agents", 0, "profile", "packets_per_flow"),
+                             ("scenario", "attacks", 0, "session_duration"),
+                             ("scenario", "quiet_period"),
+                             ("detection", "syn_flows_per_window"),
+                             ("scenario", "attacks", 0, "bytes_per_packet"),
+                             ("scenario", "agents", 2, "profile", "bytes_per_packet"),
+                             ("features", "activity_quantum")]],
                          (("scenario", "attacks", 0, "start_time"), "abc"),
                          (("scenario", "agents", 0, "addr_lo"), "x"),
                          (("seed",), "abc"),

@@ -1,10 +1,12 @@
 """Feature extraction tests: protocol encoding, normalization, contiguity."""
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mecshield import features
 from mecshield.features import (FeatureMode, MODE_DIM, NormalizationSpec,
                                 WindowStats, contiguity, extract, extract_one,
                                 window_stats)
@@ -36,7 +38,8 @@ def test_protocol_encoding():
 
 def test_spec_validation():
     for kw in ({"flow_count_cap": 0}, {"packets_per_flow_cap": 0},
-               {"activity_quantum": 0.0}):
+               {"activity_quantum": 0.0}, {"activity_quantum": float("nan")},
+               {"activity_quantum": float("inf")}):
         with pytest.raises(ValueError):
             NormalizationSpec(**kw)
 
@@ -46,8 +49,9 @@ def test_window_stats_counts_per_source():
     ws = window_stats(flows, 0.0, 5.0)
     assert ws.flows_per_source == {1: 2, 2: 1}
     assert ws.window_end == 5.0
-    with pytest.raises(ValueError):
-        WindowStats(0.0, 0.0)
+    for length in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            WindowStats(0.0, length)
 
 
 def test_contiguity_empty_flow():
@@ -213,3 +217,96 @@ def test_packet_count_monotone_in_ppf_only():
     vb = extract_one(more, FeatureMode.SOURCE_SITE, spec, ws)
     assert vb[3] > va[3]
     assert (va[[0, 1, 2]] == vb[[0, 1, 2]]).all()
+
+
+@st.composite
+def flows_and_windows(draw):
+    """Flows of several windows, each flow with its window: adversarial
+    headers, timestamps around the window's bounds, ties, touching packets
+    and gaps wider than the quantum."""
+    length = draw(st.sampled_from([0.7, 5.0]) | st.floats(0.01, 10.0))
+    # a quantum far below the window fits many runs of packets into it
+    quantum = draw(st.sampled_from([1.0, length]) | st.floats(1e-3, length)
+                   | st.floats(length, 3.0 * length)
+                   | st.floats(0.005, 0.1).map(lambda x: x * length))
+    big = st.integers(2**53 - 2, 2**64)         # beyond the floats' integers
+    flows, windows = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.integers(0, 60))
+        lo = draw(st.sampled_from([w * length, round((w + 1) * length, 9) - length])
+                  | st.floats(-50.0, 50.0))
+        hi = lo + length
+        batch = []
+        for _ in range(draw(st.integers(0, 6))):
+            # packets at the window's bounds, and a walk of ties, packets that
+            # touch (t + quantum), overlaps and gaps from a start that may lie
+            # before the window
+            ts = draw(st.lists(st.sampled_from([lo - quantum, lo, hi]), max_size=3))
+            t = draw(st.sampled_from([lo - quantum, lo - 2.5 * quantum, lo])
+                     | st.floats(lo - 2.0 * quantum - 1.0, hi + 1.0))
+            for _ in range(draw(st.integers(0, 30))):
+                step = draw(st.sampled_from(["tie", "touch", "touches", "overlap", "gap"]))
+                ts.append(t)
+                if step == "touches":           # a run of packets that touch
+                    for _ in range(draw(st.integers(1, 12))):
+                        t = t + quantum
+                        ts.append(t)
+                if step.startswith("touch"):
+                    t = t + quantum
+                elif step == "overlap":
+                    t += draw(st.floats(0.0, quantum))
+                elif step == "gap":
+                    t += quantum * draw(st.floats(1.0, 3.0))
+            ts.sort()
+            f = FlowRecord(
+                f"f{len(batch)}", draw(st.integers(1, 4)), 2,
+                draw(st.sampled_from(["TCP", "UDP", "ICMP", "OTHER", "WEIRD"])),
+                draw(st.integers(0, 65535) | st.just(65535) | st.integers(65536, 2**20)),
+                draw(st.just(len(ts)) | st.integers(0, 5000) | big), 0.0,
+                ts[0] if ts else lo, ts[-1] if ts else lo,
+                packet_timestamps=ts if draw(st.booleans()) else array("d", ts))
+            batch.append(f)
+        counts = window_stats(batch, lo, length).flows_per_source
+        counts = {src: draw(st.just(n) | st.just(10**9) | big) for src, n in counts.items()}
+        flows += batch
+        windows += [WindowStats(lo, length, counts)] * len(batch)
+    caps = st.sampled_from([1, 2, 50, 100, 1000]) | st.integers(1, 2**60)
+    spec = NormalizationSpec(draw(caps), draw(caps), quantum)
+    return flows, windows, spec
+
+
+# three runs of one packet, then one of packets that touch (each at the one
+# before plus the quantum): a run break at `>=`, or a pairwise sum of the run
+# lengths, misses `contiguity`'s bits here by one unit in the last place
+_RUNS = array("d", [0.795, 2.148, 2.871, 3.679, 4.379, 5.079, 5.779])
+
+
+@settings(deadline=None, max_examples=400)
+@example(([FlowRecord("runs", 1, 2, "TCP", 80, len(_RUNS), 0.0, _RUNS[0], _RUNS[-1],
+                      packet_timestamps=_RUNS)],
+          [WindowStats(0.0, 6.3, {1: 1})], NormalizationSpec(activity_quantum=0.7)),
+         FeatureMode.SOURCE_SITE, features.CHUNK_FLOWS, features.CHUNK_PACKETS)
+@given(flows_and_windows(), st.sampled_from(list(FeatureMode)),
+       st.integers(1, 5) | st.just(features.CHUNK_FLOWS),
+       st.integers(1, 40) | st.just(features.CHUNK_PACKETS))
+def test_extract_matches_extract_one_bit_for_bit(case, mode, chunk_flows, chunk_packets):
+    flows, windows, spec = case
+    want = np.array([extract_one(f, mode, spec, w) for f, w in zip(flows, windows)])
+    want = want.reshape(len(flows), MODE_DIM[mode])
+    # small chunks: a call spans several chunks of flows and of packets
+    with mock.patch.object(features, "CHUNK_FLOWS", chunk_flows), \
+            mock.patch.object(features, "CHUNK_PACKETS", chunk_packets):
+        got = extract(flows, mode, spec, windows)
+        # one WindowStats means every flow is in that window
+        if flows and all(w is windows[0] for w in windows):
+            single = extract(flows, mode, spec, windows[0])
+            assert (single.view(np.uint64) == want.view(np.uint64)).all()
+    assert got.shape == want.shape
+    # bitwise: -0.0 and 0.0 differ, and NaN equals itself
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert extract([], mode, spec, []).shape == (0, MODE_DIM[mode])
+
+
+def test_extract_needs_one_window_per_flow():
+    with pytest.raises(ValueError, match="windows"):
+        extract([flow()], FeatureMode.SOURCE_SITE, NormalizationSpec(), [])

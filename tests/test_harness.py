@@ -680,6 +680,56 @@ def test_presented_vectors_are_each_agents_window_exactly():
         if any(f.truth_label == LABEL_MALICIOUS for f in flows)}
 
 
+def _samples_by_flow(flows, mode, spec, window_length, count=None):
+    """`flows_to_samples` flow by flow: each window's statistics over all its
+    flows from `window_stats`, each vector from `extract_one`."""
+    buckets = {}
+    for f in flows:
+        buckets.setdefault(int(f.start_time // window_length), []).append(f)
+    vectors, labels = [], []
+    for w in sorted(buckets):
+        stats = window_stats(buckets[w], w * window_length, window_length)
+        for f in buckets[w]:
+            if count is not None and len(vectors) == count:
+                return vectors, labels
+            vectors.append(extract_one(f, mode, spec, stats))
+            labels.append(MALICIOUS if f.truth_label == LABEL_MALICIOUS else BENIGN)
+    return vectors, labels
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(sorted(_FAMILIES)), min_size=1, max_size=2),
+       st.floats(0.5, 60.0), st.one_of(st.just(0.7), st.floats(0.2, 12.0)),
+       st.none() | st.integers(0, 40) | st.integers(0, 2000),
+       st.sampled_from(list(FeatureMode)), st.integers(0, 2**32 - 1))
+def test_flows_to_samples_matches_a_per_window_loop(families, duration, window_length,
+                                                    count, mode, seed):
+    flows = []
+    for family in families:
+        gen, profile, kw = _FAMILIES[family]
+        flows += gen(profile, duration, seed, **kw)
+    # small caps and quantum, so that no component sits at its clamp
+    spec = NormalizationSpec(flow_count_cap=40, packets_per_flow_cap=60,
+                             activity_quantum=0.3)
+    want_v, want_l = _samples_by_flow(flows, mode, spec, window_length, count)
+    got_v, got_l = flows_to_samples(flows, mode, spec, window_length, count=count)
+    assert got_l == want_l
+    assert [v.tobytes() for v in got_v] == [v.tobytes() for v in want_v]
+
+
+def test_presented_destination_vectors_are_each_agents_window_exactly():
+    cfg = tiny_cfg(level=300.0)
+    cfg.feature_mode = FeatureMode.DESTINATION_SITE
+    L = cfg.window_length
+    for windows in present_traffic(cfg).windows.values():
+        for w, win in enumerate(windows):
+            stats = window_stats(win.flows, round((w + 1) * L, 9) - L, L)
+            assert win.vectors.shape == (len(win.flows), 3)
+            assert [row.tobytes() for row in win.vectors] == [
+                extract_one(f, cfg.feature_mode, cfg.norm_spec, stats).tobytes()
+                for f in win.flows]
+
+
 def test_digest_equal_across_interpreters():
     code = ("from mecshield.config import reference_config; "
             "from mecshield.harness import run, event_log_digest; "
